@@ -12,8 +12,7 @@
  *
  * Emits `BENCH_explore.json` with the full fidelity-vs-evaluations
  * series plus `explore_fidelity.csv` for plotting.  Each budget gets
- * a fresh engine so wall times and evaluation counts are honest
- * (no cross-run memo hits).
+ * a fresh engine.
  *
  * Usage: explore_frontier [--output PATH] [--csv-dir DIR]
  */

@@ -11,7 +11,7 @@
  *
  * Each panel runs ONE engine sweep per class (the shared
  * `classSweepSpec` grid) and reads every weight bucket out of that
- * result; the old per-bucket re-sweeps become cache lookups.
+ * result; the old per-bucket re-sweeps become lookups into it.
  */
 
 #include <cmath>
@@ -173,15 +173,7 @@ main()
                 "  - medium/large drones: compute savings gain up to "
                 "~+2 min\n");
 
-    const engine::CacheCounters cache = eng.cacheCounters();
-    std::fprintf(stderr,
-                 "[engine] %d thread(s), cache %llu/%llu hits "
-                 "(%.0f%%), last sweep %.0f points/s\n",
-                 eng.threadCount(),
-                 static_cast<unsigned long long>(cache.hits),
-                 static_cast<unsigned long long>(cache.hits +
-                                                 cache.misses),
-                 100.0 * cache.hitRate(),
-                 eng.lastRunStats().pointsPerSecond);
+    std::fprintf(stderr, "[engine] %d thread(s), last sweep %.0f points/s\n",
+                 eng.threadCount(), eng.lastRunStats().pointsPerSecond);
     return 0;
 }

@@ -7,7 +7,7 @@
  * (`solveDesign` / `runSweepSerial` + the shared serializers), then
  * hammers the socket with 1/2/4/8 closed-loop client threads and
  * byte-compares every reply against the oracle.  Any divergence —
- * a torn frame, a cache returning the wrong point, a worker racing
+ * a torn frame, a stale or wrong point, a worker racing
  * the serializer — fails the run (nonzero exit).
  *
  * Emits `BENCH_serve.json`: per-client-count throughput, latency
@@ -94,7 +94,7 @@ buildWorkload()
 {
     // 240 distinct points spanning the small/medium envelope; the
     // oracle solves each through the plain serial `solveDesign`
-    // path (no engine, no cache) and serializes with the same
+    // path (no engine) and serializes with the same
     // functions the server uses.
     Workload load;
     std::uint64_t id = 0;
@@ -334,8 +334,7 @@ main(int argc, char **argv)
                 load.frames.size(), opts.requests, opts.workers);
 
     // Warm pass: every distinct point once, so timed runs measure
-    // the memoized steady state (the acceptance criterion's
-    // "warm-cache" condition).
+    // the steady state.
     {
         Client warm(port);
         for (std::size_t i = 0; i < load.frames.size(); ++i) {

@@ -2,22 +2,17 @@
  * @file
  * Sweep-engine throughput bench: serial reference vs `SweepEngine`
  * at 1/2/4/8 threads on the Figure 10 footprint grids (all three
- * size classes, both chips, both activities, cells 1-6), plus a
- * cold-cache batch-vs-scalar series (SoA `solveDesignBatch` kernel
- * vs per-point `solveDesign`) that measures the raw-compute win the
- * memo cache would otherwise mask.
+ * size classes, both chips, both activities, cells 1-6), plus a raw
+ * kernel series (SoA `solveDesignBatch` vs a per-point `solveDesign`
+ * loop) that measures the kernel's compute win with no engine around
+ * it.
  *
- * Emits machine-readable results — points/s, cache hit rates,
- * speedups, a serial-vs-engine CSV identity check, and the span
- * tracer's overhead on the sweep (runtime-enabled vs disabled;
- * budget <3%) — as `BENCH_sweep.json`.
+ * Emits machine-readable results — points/s, speedups, a
+ * serial-vs-engine CSV identity check, and the span tracer's
+ * overhead on the sweep (runtime-enabled vs disabled; budget <3%) —
+ * as `BENCH_sweep.json`.  Every timed series is best of 3.
  *
- * Usage: sweep_throughput [out.json] [--cold]
- *
- * `--cold` re-measures every cold series best-of-3 with
- * `clearCache()` between repetitions, so each rep is a genuinely
- * cold solve; without it a rerun on the same engine would score
- * cache hits and report a warm number as cold.
+ * Usage: sweep_throughput [out.json]
  */
 
 #include <algorithm>
@@ -91,24 +86,16 @@ num(double v)
 int
 main(int argc, char **argv)
 {
-    std::string out_path = "BENCH_sweep.json";
-    bool cold_mode = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--cold")
-            cold_mode = true;
-        else
-            out_path = arg;
-    }
-    const int cold_reps = cold_mode ? 3 : 1;
+    const std::string out_path = argc > 1 ? argv[1] : "BENCH_sweep.json";
+    constexpr int kReps = 3;
     const std::vector<SweepSpec> specs = fig10Grids();
 
     std::size_t grid_points = 0;
     for (const auto &spec : specs)
         grid_points += spec.pointCount();
     std::printf("=== Sweep engine throughput (Fig 10 grids, %zu "
-                "points) ===\n\n",
-                grid_points);
+                "points, best of %d) ===\n\n",
+                grid_points, kReps);
 
     // Serial reference: plain solveDesign over the expanded grids.
     const auto serial_start = std::chrono::steady_clock::now();
@@ -123,6 +110,7 @@ main(int argc, char **argv)
 
     std::string json = "{\"bench\": \"sweep_throughput\"";
     json += ", \"grid_points\": " + std::to_string(grid_points);
+    json += ", \"reps\": " + std::to_string(kReps);
     json += ", \"serial\": {\"wall_seconds\": " + num(serial_seconds);
     json += ", \"points_per_second\": " + num(serial_pps) + "}";
     json += ", \"engine\": [";
@@ -132,85 +120,45 @@ main(int argc, char **argv)
         engine::SweepEngine eng{
             engine::EngineOptions{.threads = threads}};
 
-        // Cold pass: every point is a miss and a real solve.  In
-        // --cold mode the pass repeats best-of-N, with clearCache()
-        // wiping the memo between reps so rep 2+ stays a real solve
-        // instead of an all-hits replay masquerading as cold.
-        double cold_seconds = 1e300;
+        // Time only the sweeps; CSV formatting would otherwise swamp
+        // the solver.  Every rep is a real solve.
+        double seconds = 1e300;
         std::string engine_csv;
-        for (int rep = 0; rep < cold_reps; ++rep) {
-            if (rep > 0)
-                eng.clearCache();
-            const auto cold_start = std::chrono::steady_clock::now();
-            std::string rep_csv;
+        for (int rep = 0; rep < kReps; ++rep) {
+            std::vector<engine::SweepResult> runs;
+            const auto start = std::chrono::steady_clock::now();
             for (const auto &spec : specs)
-                rep_csv += feasibleCsv(eng.run(spec).points);
-            cold_seconds =
-                std::min(cold_seconds, now_seconds_since(cold_start));
-            engine_csv = std::move(rep_csv);
+                runs.push_back(eng.run(spec));
+            seconds = std::min(seconds, now_seconds_since(start));
+            engine_csv.clear();
+            for (const auto &run : runs)
+                engine_csv += feasibleCsv(run.points);
         }
-        const engine::CacheCounters cold_cache = eng.cacheCounters();
-
-        // Warm pass: the same grids again; the closure is all hits.
-        const auto warm_start = std::chrono::steady_clock::now();
-        for (const auto &spec : specs)
-            eng.run(spec);
-        const double warm_seconds = now_seconds_since(warm_start);
-        const engine::CacheCounters total_cache = eng.cacheCounters();
-        const std::uint64_t warm_hits =
-            total_cache.hits - cold_cache.hits;
-        const std::uint64_t warm_misses =
-            total_cache.misses - cold_cache.misses;
-        const double warm_hit_rate =
-            warm_hits + warm_misses == 0
-                ? 0.0
-                : static_cast<double>(warm_hits) /
-                      static_cast<double>(warm_hits + warm_misses);
 
         const bool identical = engine_csv == serial_csv;
-        const double cold_pps =
-            static_cast<double>(grid_points) / cold_seconds;
-        const double warm_pps =
-            static_cast<double>(grid_points) / warm_seconds;
-        std::printf("engine %2d thr   %8.3f s   %9.0f points/s cold   "
-                    "%8.3f s %9.0f points/s warm   csv %s\n",
-                    threads, cold_seconds, cold_pps, warm_seconds,
-                    warm_pps, identical ? "identical" : "DIVERGED");
+        const double pps = static_cast<double>(grid_points) / seconds;
+        std::printf("engine %2d thr   %8.3f s   %9.0f points/s   "
+                    "csv %s\n",
+                    threads, seconds, pps,
+                    identical ? "identical" : "DIVERGED");
 
         if (!first)
             json += ", ";
         first = false;
         json += "{\"threads\": " + std::to_string(threads);
-        json += ", \"cold\": {\"wall_seconds\": " + num(cold_seconds);
-        json += ", \"points_per_second\": " + num(cold_pps);
-        json += ", \"cache_hit_rate\": " + num(cold_cache.hitRate()) +
-                "}";
-        json += ", \"warm\": {\"wall_seconds\": " + num(warm_seconds);
-        json += ", \"points_per_second\": " + num(warm_pps);
-        json += ", \"cache_hit_rate\": " + num(warm_hit_rate) + "}";
+        json += ", \"wall_seconds\": " + num(seconds);
+        json += ", \"points_per_second\": " + num(pps);
         json += ", \"speedup_vs_serial\": " +
-                num(serial_seconds / cold_seconds);
+                num(serial_seconds / seconds);
         json += ", \"csv_identical\": ";
         json += identical ? "true" : "false";
         json += "}";
     }
     json += "]";
 
-    // Batch-vs-scalar, cold cache: the same grids through the same
-    // engine with only `batchSolve` toggled, clearCache() before
-    // every timed pass so each one measures raw solves — the SoA
-    // kernel against one `solveDesign` per point — rather than memo
-    // hits.  This is the series that shows the kernel's raw-compute
-    // win; everything above mixes in cache effects.
-    std::printf("\n--- batch vs scalar, cold cache (best of %d) ---\n",
-                cold_reps);
-    json += ", \"batch_vs_scalar\": {\"cold_cache\": true";
-    json += ", \"reps\": " + std::to_string(cold_reps);
-
-    // Raw kernel series: `solveDesign` loop vs `solveDesignBatch`
-    // with the memo cache bypassed outright — no quantization, no
-    // lookups, no inserts — so the number is the SoA kernel's
-    // compute win and nothing else.
+    // Raw kernel series: a `solveDesign` loop vs `solveDesignBatch`
+    // over the same flat point list, single-threaded, so the number
+    // is the SoA kernel's compute win and nothing else.
     {
         std::vector<DesignInputs> flat_grid;
         for (const auto &spec : specs) {
@@ -220,7 +168,7 @@ main(int argc, char **argv)
         }
         std::vector<DesignResult> flat_out(flat_grid.size());
         double raw_scalar = 1e300, raw_batch = 1e300;
-        for (int rep = 0; rep < cold_reps; ++rep) {
+        for (int rep = 0; rep < kReps; ++rep) {
             auto start = std::chrono::steady_clock::now();
             for (std::size_t i = 0; i < flat_grid.size(); ++i)
                 flat_out[i] = solveDesign(flat_grid[i]);
@@ -236,7 +184,7 @@ main(int argc, char **argv)
             static_cast<double>(flat_grid.size()) / raw_scalar;
         const double raw_batch_pps =
             static_cast<double>(flat_grid.size()) / raw_batch;
-        std::printf("raw kernel (no cache)   scalar %9.0f points/s   "
+        std::printf("\nraw kernel      scalar %9.0f points/s   "
                     "batch %9.0f points/s   speedup %.2fx\n",
                     raw_scalar_pps, raw_batch_pps,
                     raw_scalar / raw_batch);
@@ -248,73 +196,15 @@ main(int argc, char **argv)
                 num(raw_scalar / raw_batch) + "}";
     }
 
-    json += ", \"series\": [";
-    bool first_bvs = true;
-    for (int threads : {1, 4}) {
-        double scalar_seconds = 1e300, batch_seconds = 1e300;
-        std::string scalar_csv_out, batch_csv_out;
-        for (const bool batch : {false, true}) {
-            engine::SweepEngine eng{engine::EngineOptions{
-                .threads = threads, .batchSolve = batch}};
-            for (int rep = 0; rep < cold_reps; ++rep) {
-                eng.clearCache();
-                // Time only the sweeps; CSV formatting is the same
-                // either way and would otherwise swamp the solver.
-                std::vector<engine::SweepResult> runs;
-                const auto start = std::chrono::steady_clock::now();
-                for (const auto &spec : specs)
-                    runs.push_back(eng.run(spec));
-                const double seconds = now_seconds_since(start);
-                std::string rep_csv;
-                for (const auto &run : runs)
-                    rep_csv += feasibleCsv(run.points);
-                if (batch) {
-                    batch_seconds = std::min(batch_seconds, seconds);
-                    batch_csv_out = std::move(rep_csv);
-                } else {
-                    scalar_seconds = std::min(scalar_seconds, seconds);
-                    scalar_csv_out = std::move(rep_csv);
-                }
-            }
-        }
-        const bool identical = batch_csv_out == scalar_csv_out &&
-                               batch_csv_out == serial_csv;
-        const double scalar_pps =
-            static_cast<double>(grid_points) / scalar_seconds;
-        const double batch_pps =
-            static_cast<double>(grid_points) / batch_seconds;
-        const double speedup = scalar_seconds / batch_seconds;
-        std::printf("%2d thr   scalar %9.0f points/s   batch %9.0f "
-                    "points/s   speedup %.2fx   csv %s\n",
-                    threads, scalar_pps, batch_pps, speedup,
-                    identical ? "identical" : "DIVERGED");
-
-        if (!first_bvs)
-            json += ", ";
-        first_bvs = false;
-        json += "{\"threads\": " + std::to_string(threads);
-        json += ", \"scalar\": {\"wall_seconds\": " +
-                num(scalar_seconds);
-        json += ", \"points_per_second\": " + num(scalar_pps) + "}";
-        json +=
-            ", \"batch\": {\"wall_seconds\": " + num(batch_seconds);
-        json += ", \"points_per_second\": " + num(batch_pps) + "}";
-        json += ", \"batch_speedup\": " + num(speedup);
-        json += ", \"csv_identical\": ";
-        json += identical ? "true" : "false";
-        json += "}";
-    }
-    json += "]}";
-
-    // Tracer overhead on the Fig 10 sweep: cold passes on a fresh
-    // engine (so every point is a real solve), best-of-N to shave
-    // scheduler noise, tracer runtime-off vs runtime-on.  The
+    // Tracer overhead on the Fig 10 sweep: passes on a fresh engine,
+    // best-of-N to shave scheduler noise, tracer runtime-off vs
+    // runtime-on.  The
     // compiled-out configuration (-DDRONEDSE_TRACING=OFF) is proven
     // by the CI `obs` job; a single binary can only compare runtime
     // states.
     constexpr int kOverheadReps = 5;
     constexpr int kOverheadThreads = 4;
-    const auto cold_sweep_seconds = [&specs] {
+    const auto sweep_seconds = [&specs] {
         engine::SweepEngine eng{
             engine::EngineOptions{.threads = kOverheadThreads}};
         const auto start = std::chrono::steady_clock::now();
@@ -326,11 +216,11 @@ main(int argc, char **argv)
     std::size_t spans_recorded = 0;
     obs::tracer().setEnabled(false);
     for (int rep = 0; rep < kOverheadReps; ++rep)
-        off_seconds = std::min(off_seconds, cold_sweep_seconds());
+        off_seconds = std::min(off_seconds, sweep_seconds());
     obs::tracer().setEnabled(true);
     for (int rep = 0; rep < kOverheadReps; ++rep) {
         obs::tracer().clear();
-        on_seconds = std::min(on_seconds, cold_sweep_seconds());
+        on_seconds = std::min(on_seconds, sweep_seconds());
         spans_recorded = obs::tracer().snapshot().size();
     }
     obs::tracer().setEnabled(false);

@@ -5,14 +5,11 @@
  * time vs compute capability vs all-up weight.
  *
  * Usage: design_explorer [--jobs N] [--csv PATH] [--trace PATH]
- *                        [--metrics PATH] [--no-batch]
+ *                        [--metrics PATH]
  *   --jobs N       worker threads for the sweep (default: hardware)
  *   --csv PATH     write every feasible design point as CSV
  *   --trace PATH   capture engine spans, write chrome://tracing JSON
  *   --metrics PATH write the obs metrics-registry snapshot as JSON
- *   --no-batch     solve point-by-point instead of through the SoA
- *                  batch kernel (output is bit-identical either way;
- *                  CI diffs the two CSVs to prove it)
  */
 
 #include <cstdio>
@@ -40,7 +37,6 @@ namespace {
 struct Options
 {
     int jobs = 0; // 0 = hardware concurrency
-    bool batchSolve = true;
     std::string csvPath;
     std::string tracePath;
     std::string metricsPath;
@@ -52,8 +48,7 @@ parseArgs(int argc, char **argv)
     Options opts;
     examples::ExampleArgs args(argc, argv, "design_explorer",
                                "[--jobs N] [--csv PATH] "
-                               "[--trace PATH] [--metrics PATH] "
-                               "[--no-batch]");
+                               "[--trace PATH] [--metrics PATH]");
     while (args.next()) {
         if (args.intArg("--jobs", opts.jobs, 1))
             continue;
@@ -63,10 +58,6 @@ parseArgs(int argc, char **argv)
             continue;
         if (args.stringArg("--metrics", opts.metricsPath))
             continue;
-        if (args.flag("--no-batch")) {
-            opts.batchSolve = false;
-            continue;
-        }
         args.unknown();
     }
     return opts;
@@ -83,13 +74,13 @@ main(int argc, char **argv)
 
     std::printf("=== Design explorer: flight time vs compute ===\n\n");
 
-    engine::SweepEngine eng{engine::EngineOptions{
-        .threads = opts.jobs, .batchSolve = opts.batchSolve}};
+    engine::SweepEngine eng{engine::EngineOptions{.threads = opts.jobs}};
 
     // One sweep per size class (their capacity axes differ), every
     // compute board and battery family in each.
     std::vector<DesignResult> points;
     double wall_seconds = 0.0;
+    std::size_t solved = 0;
     for (SizeClass cls :
          {SizeClass::Small, SizeClass::Medium, SizeClass::Large}) {
         SweepSpec spec = classSweepSpec(classSpec(cls),
@@ -98,6 +89,7 @@ main(int argc, char **argv)
         spec.boards = computeBoardTable();
         const engine::SweepResult swept = eng.run(spec);
         wall_seconds += swept.stats.wallSeconds;
+        solved += swept.stats.gridPoints;
         for (std::size_t i : swept.feasible) {
             if (withinPracticalLimits(swept.points[i], classSpec(cls)))
                 points.push_back(swept.points[i]);
@@ -132,19 +124,11 @@ main(int argc, char **argv)
                     opts.csvPath.c_str());
     }
 
-    const engine::CacheCounters cache = eng.cacheCounters();
-    std::printf("\nEngine stats: %d thread(s), %.0f points/s, "
-                "cache %llu hits / %llu misses (%.0f%% hit rate), "
-                "%llu evictions\n",
+    std::printf("\nEngine stats: %d thread(s), %.0f points/s\n",
                 eng.threadCount(),
                 wall_seconds > 0.0
-                    ? static_cast<double>(cache.hits + cache.misses) /
-                          wall_seconds
-                    : 0.0,
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                100.0 * cache.hitRate(),
-                static_cast<unsigned long long>(cache.evictions));
+                    ? static_cast<double>(solved) / wall_seconds
+                    : 0.0);
     std::printf("Last sweep: %s\n", eng.lastRunStats().toJson().c_str());
 
     if (!opts.tracePath.empty()) {

@@ -10,14 +10,12 @@
  *       | dse_server --stdio
  *
  * Usage: dse_server [--port N] [--bind ADDR] [--jobs N]
- *                   [--workers N] [--stdio] [--no-batch]
+ *                   [--workers N] [--stdio]
  *   --port N     TCP port (default 0 = ephemeral, printed at start)
  *   --bind ADDR  IPv4 bind address (default 127.0.0.1)
  *   --jobs N     engine sweep threads (default: hardware)
  *   --workers N  server worker threads draining the queue (default 2)
  *   --stdio      answer frames from stdin on stdout, then exit
- *   --no-batch   solve point-by-point instead of through the SoA
- *                batch kernel (replies are bit-identical either way)
  */
 
 #include <csignal>
@@ -49,7 +47,6 @@ struct Options
     int jobs = 0; // 0 = hardware concurrency
     int workers = 2;
     bool stdio = false;
-    bool batchSolve = true;
 };
 
 Options
@@ -58,8 +55,7 @@ parseArgs(int argc, char **argv)
     Options opts;
     examples::ExampleArgs args(argc, argv, "dse_server",
                                "[--port N] [--bind ADDR] [--jobs N] "
-                               "[--workers N] [--stdio] "
-                               "[--no-batch]");
+                               "[--workers N] [--stdio]");
     while (args.next()) {
         if (args.intArg("--port", opts.port, 0)) {
             if (opts.port > 65535)
@@ -74,10 +70,6 @@ parseArgs(int argc, char **argv)
             continue;
         if (args.flag("--stdio")) {
             opts.stdio = true;
-            continue;
-        }
-        if (args.flag("--no-batch")) {
-            opts.batchSolve = false;
             continue;
         }
         args.unknown();
@@ -123,7 +115,6 @@ main(int argc, char **argv)
 
     serve::ServiceOptions service_options;
     service_options.engine.threads = opts.jobs;
-    service_options.engine.batchSolve = opts.batchSolve;
 
     if (opts.stdio) {
         serve::Service service{service_options};

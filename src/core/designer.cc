@@ -5,7 +5,6 @@
 
 #include "dse/footprint.hh"
 #include "dse/weight_closure.hh"
-#include "engine/engine.hh"
 #include "util/table.hh"
 
 namespace dronedse {
@@ -112,10 +111,7 @@ DroneDesigner::propeller(Quantity<Inches> diameter)
 DesignResult
 DroneDesigner::design() const
 {
-    // The shared engine memoizes the closure, so sweep drivers that
-    // revisit a design (hover + maneuver pairs, weight-bucket scans)
-    // solve each distinct point once.
-    return engine::sharedEngine().solve(inputs_);
+    return solveDesign(inputs_);
 }
 
 DesignReport
@@ -128,8 +124,8 @@ DroneDesigner::report() const
     DesignInputs maneuver = inputs_;
     maneuver.activity = FlightActivity::Maneuvering;
 
-    const DesignResult hover_res = engine::sharedEngine().solve(hover);
-    const DesignResult man_res = engine::sharedEngine().solve(maneuver);
+    const DesignResult hover_res = solveDesign(hover);
+    const DesignResult man_res = solveDesign(maneuver);
     rep.result = inputs_.activity == FlightActivity::Maneuvering
                      ? man_res
                      : hover_res;

@@ -4,6 +4,8 @@
 #include <span>
 
 #include "components/battery.hh"
+#include "dse/batch_solve.hh"
+#include "dse/weight_closure.hh"
 #include "engine/pareto.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
@@ -22,51 +24,45 @@ SweepResult::feasibleSeries() const
 }
 
 SweepEngine::SweepEngine(EngineOptions options)
-    : options_(options), pool_(options.threads),
-      cache_(options.cacheCapacity)
+    : options_(options), pool_(options.threads)
 {
+}
+
+void
+SweepEngine::solveAll(std::span<const DesignInputs> inputs,
+                      std::span<DesignResult> results)
+{
+    // Each worker writes only the slots of the range it was handed,
+    // so the reduction is order-independent by construction.  Chunk
+    // boundaries move with the thread count, but the kernel is
+    // partition-invariant (solve(N) == any split of it, per the batch
+    // property tests), so the determinism contract holds at any
+    // thread count.
+    pool_.parallelForChunks(
+        inputs.size(), options_.chunkSize,
+        [&](std::size_t begin, std::size_t end, int) {
+            solveDesignBatch(inputs.subspan(begin, end - begin),
+                             results.subspan(begin, end - begin));
+        });
+    solved_.fetch_add(inputs.size(), std::memory_order_relaxed);
 }
 
 SweepResult
 SweepEngine::run(const SweepSpec &spec)
 {
-    // Serve workers call run() from many threads; batches execute
-    // one at a time while the shared cache carries overlap between
-    // them.  bestConfiguration() calls run() from outside the lock,
-    // so the guard lives here and only here.
+    // Serve workers call run() from many threads; the pool runs one
+    // job at a time, so batches execute one at a time.
+    // bestConfiguration() calls run() from outside the lock, so the
+    // guard lives here and only here.
     util::MutexLock run_lock(runMutex_);
     obs::ScopedSpan sweep_span("engine.sweep", "engine");
     const auto start = std::chrono::steady_clock::now();
-    const CacheCounters before = cache_.counters();
 
     const std::vector<DesignInputs> grid = expandGrid(spec);
 
     SweepResult result;
     result.points.resize(grid.size());
-    // Each worker writes only the slots of the range it was handed,
-    // so the reduction is order-independent by construction.  The
-    // batch path hands each chunk to the memo cache whole: misses
-    // ride the SoA kernel together instead of one fixed-point solve
-    // per point.  Chunk boundaries move with the thread count, but
-    // the kernel is blocking-invariant (solve(N) == any partition of
-    // it, per the batch property tests), so the determinism contract
-    // is unchanged.
-    if (options_.batchSolve) {
-        const std::span<const DesignInputs> grid_span(grid);
-        const std::span<DesignResult> points_span(result.points);
-        pool_.parallelForChunks(
-            grid.size(), options_.chunkSize,
-            [&](std::size_t begin, std::size_t end, int) {
-                cache_.solveBatch(
-                    grid_span.subspan(begin, end - begin),
-                    points_span.subspan(begin, end - begin));
-            });
-    } else {
-        pool_.parallelFor(grid.size(), options_.chunkSize,
-                          [&](std::size_t i, int) {
-                              result.points[i] = cache_.solve(grid[i]);
-                          });
-    }
+    solveAll(grid, result.points);
 
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         if (result.points[i].feasible)
@@ -74,7 +70,6 @@ SweepEngine::run(const SweepSpec &spec)
     }
     result.frontier = paretoFrontier(result.points);
 
-    const CacheCounters after = cache_.counters();
     SweepStats &stats = result.stats;
     stats.gridPoints = grid.size();
     stats.feasiblePoints = result.feasible.size();
@@ -87,9 +82,6 @@ SweepEngine::run(const SweepSpec &spec)
             ? static_cast<double>(grid.size()) / stats.wallSeconds
             : 0.0;
     stats.threads = pool_.threadCount();
-    stats.cache.hits = after.hits - before.hits;
-    stats.cache.misses = after.misses - before.misses;
-    stats.cache.evictions = after.evictions - before.evictions;
     stats.perThread = pool_.lastRunStats();
     lastStats_ = stats;
 
@@ -104,12 +96,6 @@ SweepEngine::run(const SweepSpec &spec)
         .add(stats.feasiblePoints);
     registry.counter("engine.frontier_points")
         .add(stats.frontierPoints);
-    registry.counter("engine.cache.hits").add(stats.cache.hits);
-    registry.counter("engine.cache.misses").add(stats.cache.misses);
-    registry.counter("engine.cache.evictions")
-        .add(stats.cache.evictions);
-    if (options_.batchSolve)
-        registry.counter("engine.batch.points").add(stats.gridPoints);
     registry.gauge("engine.sweep.points_per_second")
         .set(stats.pointsPerSecond);
     registry
@@ -122,34 +108,20 @@ SweepEngine::run(const SweepSpec &spec)
 DesignResult
 SweepEngine::solve(const DesignInputs &inputs)
 {
-    return cache_.solve(inputs);
+    solved_.fetch_add(1, std::memory_order_relaxed);
+    return solveDesign(inputs);
 }
 
 std::vector<DesignResult>
 SweepEngine::solvePoints(std::span<const DesignInputs> points)
 {
     // Same batching discipline as run(): one point list at a time
-    // per engine, workers write only their own slots, and the batch
-    // kernel is blocking-invariant — so the output is element-wise
-    // identical to a serial solve loop at any thread count.
+    // per engine, so the output is element-wise identical to a serial
+    // solve loop at any thread count.
     util::MutexLock run_lock(runMutex_);
     obs::ScopedSpan span("engine.solve_points", "engine");
     std::vector<DesignResult> results(points.size());
-    if (options_.batchSolve) {
-        const std::span<DesignResult> results_span(results);
-        pool_.parallelForChunks(
-            points.size(), options_.chunkSize,
-            [&](std::size_t begin, std::size_t end, int) {
-                cache_.solveBatch(
-                    points.subspan(begin, end - begin),
-                    results_span.subspan(begin, end - begin));
-            });
-    } else {
-        pool_.parallelFor(points.size(), options_.chunkSize,
-                          [&](std::size_t i, int) {
-                              results[i] = cache_.solve(points[i]);
-                          });
-    }
+    solveAll(points, results);
     obs::metrics().counter("engine.point_batches").add(1);
     obs::metrics().counter("engine.grid_points").add(points.size());
     return results;
@@ -196,16 +168,6 @@ SweepEngine::bestConfiguration(const SizeClassSpec &spec,
         fatal("SweepEngine::bestConfiguration: no feasible design in "
               "class sweep");
     return points[best];
-}
-
-SweepEngine &
-sharedEngine()
-{
-    // Single-threaded: the shared instance exists for its memo cache
-    // (single solves, designer reports); parallel sweep drivers own
-    // their engine and pick a thread count explicitly.
-    static SweepEngine engine{EngineOptions{.threads = 1}};
-    return engine;
 }
 
 } // namespace dronedse::engine

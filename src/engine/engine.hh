@@ -10,20 +10,22 @@
  * Determinism contract: `run(spec).points` is element-wise identical
  * to `runSweepSerial(spec)` at any thread count.  This holds because
  * (1) both paths expand the identical `expandGrid` point sequence,
- * (2) each worker writes its result into the slot indexed by grid
- * position, and (3) `solveDesign` is a pure function of its inputs,
- * so a memo hit returns exactly what a fresh solve would.
+ * (2) each worker writes its result into the slots of the range it
+ * was handed, and (3) `solveDesign` is pure, and the kernel is
+ * partition-invariant: `solveDesignBatch` over any split of a point
+ * list is byte-identical to `solveDesign` on each point.
  */
 
 #ifndef DRONEDSE_ENGINE_ENGINE_HH
 #define DRONEDSE_ENGINE_ENGINE_HH
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "dse/sweep.hh"
-#include "engine/memo_cache.hh"
 #include "engine/stats.hh"
 #include "engine/thread_pool.hh"
 #include "util/thread_annotations.hh"
@@ -35,18 +37,22 @@ struct EngineOptions
 {
     /** Worker count, caller included; 0 = hardware concurrency. */
     int threads = 0;
-    /** Total memo-cache entries across shards. */
-    std::size_t cacheCapacity = 1 << 20;
     /** Grid indices per work chunk; 0 = ~4 chunks per worker. */
     std::size_t chunkSize = 0;
-    /**
-     * Solve each chunk's cache misses through the SoA batch kernel
-     * (`solveDesignBatch`) instead of one `solveDesign` per point.
-     * Results are bit-identical either way (the differential battery
-     * holds the kernel to the scalar oracle); off is the scalar
-     * reference path for benches and differential tests.
-     */
-    bool batchSolve = true;
+};
+
+/**
+ * Solve counters in the shape of a cache's hit/miss counters.  The
+ * engine has no cache; these stay only because the repository
+ * benchmark (`perfbench/`) reads them to compute a hit ratio.
+ * `hits` and `evictions` are always 0 and `misses` is the number of
+ * points this engine has solved, so that ratio is a true, finite 0.
+ */
+struct CacheCounters
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
 };
 
 /** Everything `run` produces for one spec. */
@@ -58,7 +64,7 @@ struct SweepResult
     std::vector<std::size_t> feasible;
     /** Indices into `points` of the Pareto frontier, ascending. */
     std::vector<std::size_t> frontier;
-    /** Throughput / cache / utilization record of this run. */
+    /** Throughput / utilization record of this run. */
     SweepStats stats;
 
     /** The feasible results only, in grid order (the serial
@@ -67,17 +73,16 @@ struct SweepResult
 };
 
 /**
- * The engine: a work-stealing pool plus a memo cache, reusable
- * across many sweeps.  The cache persists between `run` calls, so
- * overlapping specs (the Figure 10 panels re-reading each battery
- * family per weight bucket) pay for each distinct point once.
+ * The engine: a work-stealing pool that hands each chunk of a point
+ * list to the SoA batch kernel (`solveDesignBatch`), reusable across
+ * many sweeps.
  *
  * Thread-safe for concurrent `solve` calls.  Concurrent `run`
  * calls are safe too: they serialize on an internal mutex (one
- * sweep at a time per engine), which is the batching hook the
- * serve layer leans on — server workers submit whole coalesced
- * batches from many threads and the engine orders them while the
- * shared memo cache deduplicates their overlapping points.
+ * sweep at a time per engine, since the pool runs one job at a
+ * time), which is the batching hook the serve layer leans on —
+ * server workers submit whole coalesced batches from many threads
+ * and the engine orders them.
  */
 class SweepEngine
 {
@@ -87,7 +92,7 @@ class SweepEngine
     /** Solve a whole spec; see the determinism contract above. */
     SweepResult run(const SweepSpec &spec) DDSE_EXCLUDES(runMutex_);
 
-    /** Memoized single-point solve through the engine's cache. */
+    /** Single-point solve: exactly `solveDesign(inputs)`. */
     DesignResult solve(const DesignInputs &inputs);
 
     /**
@@ -95,8 +100,7 @@ class SweepEngine
      * no frontier pass): `out[i] == solve(points[i])` element-wise,
      * at any thread count.  This is the adaptive explorer's inner
      * loop — each refinement round hands the engine whatever point
-     * set it decided to evaluate and the memo cache deduplicates
-     * re-visits across rounds and queries.
+     * set it decided to evaluate.
      */
     std::vector<DesignResult>
     solvePoints(std::span<const DesignInputs> points)
@@ -115,15 +119,12 @@ class SweepEngine
 
     int threadCount() const { return pool_.threadCount(); }
 
-    /** Lifetime cache counters (across all runs of this engine). */
-    CacheCounters cacheCounters() const { return cache_.counters(); }
-
-    /**
-     * Drop every memoized entry (lifetime counters are kept).  The
-     * cold-cache bench mode resets with this between passes so its
-     * batch-vs-scalar numbers measure raw solves, not cache hits.
-     */
-    void clearCache() { cache_.clear(); }
+    /** Lifetime solve count; see `CacheCounters`. */
+    CacheCounters cacheCounters() const
+    {
+        return CacheCounters{
+            .misses = solved_.load(std::memory_order_relaxed)};
+    }
 
     /**
      * Stats of the most recent `run`, as one consistent copy taken
@@ -137,20 +138,19 @@ class SweepEngine
     }
 
   private:
+    /** Solve `inputs` into `results` chunk-wise on the pool. */
+    void solveAll(std::span<const DesignInputs> inputs,
+                  std::span<DesignResult> results)
+        DDSE_REQUIRES(runMutex_);
+
     EngineOptions options_;
     ThreadPool pool_;
-    MemoCache cache_;
+    /** Points solved by this engine, across all entry points. */
+    std::atomic<std::uint64_t> solved_{0};
     /** Serializes `run` (and `lastStats_` updates) across callers. */
     mutable util::Mutex runMutex_;
     SweepStats lastStats_ DDSE_GUARDED_BY(runMutex_);
 };
-
-/**
- * Process-wide shared engine (lazy, thread-safe construction) used
- * by the `core` facade so repeated `DroneDesigner` reports and
- * figure benches share one memo cache.
- */
-SweepEngine &sharedEngine();
 
 /**
  * The best-configuration scan as a free function over an already

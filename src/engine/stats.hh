@@ -1,12 +1,11 @@
 /**
  * @file
- * Instrumentation of one engine sweep: throughput, cache rates, and
- * per-thread utilization, with a JSON dump for the bench trajectory
+ * Instrumentation of one engine sweep: throughput and per-thread
+ * utilization, with a JSON dump for the bench trajectory
  * (`BENCH_sweep.json`).
  *
  * Header-only on purpose: the fields are the raw counters the pool
- * and cache already maintain; this file only names and serializes
- * them.
+ * already maintains; this file only names and serializes them.
  */
 
 #ifndef DRONEDSE_ENGINE_STATS_HH
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/memo_cache.hh"
 #include "engine/thread_pool.hh"
 #include "util/json.hh"
 
@@ -37,8 +35,6 @@ struct SweepStats
     double pointsPerSecond = 0.0;
     /** Worker count (caller included). */
     int threads = 1;
-    /** Cache counter deltas attributable to this sweep. */
-    CacheCounters cache;
     /** Per-worker utilization of the sweep's `parallelFor`. */
     std::vector<WorkerStats> perThread;
 
@@ -63,10 +59,6 @@ struct SweepStats
         out += ", \"wall_seconds\": " + num(wallSeconds);
         out += ", \"points_per_second\": " + num(pointsPerSecond);
         out += ", \"threads\": " + std::to_string(threads);
-        out += ", \"cache\": {\"hits\": " + std::to_string(cache.hits);
-        out += ", \"misses\": " + std::to_string(cache.misses);
-        out += ", \"evictions\": " + std::to_string(cache.evictions);
-        out += ", \"hit_rate\": " + num(cache.hitRate()) + "}";
         out += ", \"per_thread\": [";
         for (std::size_t i = 0; i < perThread.size(); ++i) {
             if (i > 0)

@@ -18,8 +18,8 @@
  *               boundary Figure 9's "infeasible beyond here" edge
  *               traces)
  *
- * Rounds repeat — dedup, solve through the engine's memoized batch
- * path, fold the new points into the incremental Pareto frontier —
+ * Rounds repeat — dedup, solve through the engine's batch path,
+ * fold the new points into the incremental Pareto frontier —
  * until refinement produces nothing new (converged), the budget is
  * spent, or `maxRounds` is hit.  When refinement dries up with
  * budget remaining, the driver tops back up from the generator, so
@@ -127,8 +127,8 @@ struct ExploreQuery
 };
 
 /**
- * The driver itself: borrows an engine (whose memo cache carries
- * overlap across runs and queries) and owns the refinement policy.
+ * The driver itself: borrows an engine and owns the refinement
+ * policy.
  */
 class AdaptiveDriver
 {

@@ -4,16 +4,16 @@
  * fixed-bucket histograms with a JSON snapshot.
  *
  * This is the one aggregation point for the quantities the paper's
- * studies report — sweep throughput and cache rates (Fig 10/11
- * grids), scheduler deadline misses (§2.1.3), uarch miss rates
- * (Fig 15) — so an experiment reads one snapshot instead of four
- * bespoke stats structs.  Handles returned by the registry are
+ * studies report — sweep throughput (Fig 10/11 grids), scheduler
+ * deadline misses (§2.1.3), uarch miss rates (Fig 15) — so an
+ * experiment reads one snapshot instead of four bespoke stats
+ * structs.  Handles returned by the registry are
  * stable for the registry's lifetime; updates are lock-free atomics,
  * so instrumented hot paths pay one relaxed RMW per event.
  *
  * Naming convention (DESIGN.md §10): dot-separated
  * `<module>.<object>.<event>` in lower_snake segments, e.g.
- * `engine.cache.hits`, `control.scheduler.deadline_misses`.
+ * `engine.grid_points`, `control.scheduler.deadline_misses`.
  */
 
 #ifndef DRONEDSE_OBS_METRICS_HH

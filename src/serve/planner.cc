@@ -412,9 +412,7 @@ QueryPlanner::runCodesignCoalesced(
 std::shared_ptr<explore::ExploreResult>
 QueryPlanner::runExploreCoalesced(const explore::ExploreQuery &query)
 {
-    // Byte-identical (space, options) pairs share one adaptive run;
-    // distinct budgets over the same space still share work through
-    // the engine's memo cache point by point.
+    // Byte-identical (space, options) pairs share one adaptive run.
     Request key_request;
     key_request.kind = QueryKind::Explore;
     key_request.explore = query;

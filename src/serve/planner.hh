@@ -8,15 +8,12 @@
  * expanded grid under a hard point cap so one query cannot wedge
  * the service.
  *
- * Execution routes through one shared `engine::SweepEngine`, so
- * every query — and every *concurrent* query — is memoized through
- * the engine's sharded cache.  Identical concurrent sweep/pareto
- * specs are additionally coalesced single-flight: the first caller
- * becomes the leader and runs the batch, followers block on the
- * leader's result and share it (the canonical spec serialization is
- * the coalescing key, so a sweep and a pareto over the same spec
- * share one engine run).  Overlapping-but-distinct specs still
- * share work point-by-point through the memo cache.
+ * Execution routes through one shared `engine::SweepEngine`.
+ * Identical concurrent sweep/pareto specs are coalesced
+ * single-flight: the first caller becomes the leader and runs the
+ * batch, followers block on the leader's result and share it (the
+ * canonical spec serialization is the coalescing key, so a sweep
+ * and a pareto over the same spec share one engine run).
  */
 
 #ifndef DRONEDSE_SERVE_PLANNER_HH

@@ -6,8 +6,8 @@
  * one reply object per line out.  Four query kinds map onto the
  * existing model vocabulary:
  *
- *   design   — one `DesignInputs` point, solved through the memo
- *              cache (`{"id": 1, "kind": "design", "point": {...}}`)
+ *   design   — one `DesignInputs` point, solved by `solveDesign`
+ *              (`{"id": 1, "kind": "design", "point": {...}}`)
  *   sweep    — a full `SweepSpec` grid; the reply carries every grid
  *              point in `expandGrid` order plus the feasible count
  *              and Pareto frontier indices

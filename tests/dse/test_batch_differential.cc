@@ -111,11 +111,11 @@ TEST(BatchDifferential, SeededRandomDesignClouds)
 TEST(BatchDifferential, BisectedFeasibilityBoundaryPoints)
 {
     // Bisect the battery C-rating feasibility boundary in capacity
-    // (the `test_memo_cache.cc` idiom) for each battery family, then
-    // solve a tight bracket around every boundary.  These are the
-    // inputs where bit drift would first flip a verdict: the scalar
-    // and batch paths must agree on *which side* each bracket point
-    // lands on, with identical bytes throughout.
+    // for each battery family, then solve a tight bracket around
+    // every boundary.  These are the inputs where bit drift would
+    // first flip a verdict: the scalar and batch paths must agree on
+    // *which side* each bracket point lands on, with identical bytes
+    // throughout.
     std::vector<DesignInputs> bracket;
     for (int cells = 1; cells <= 6; ++cells) {
         DesignInputs probe;

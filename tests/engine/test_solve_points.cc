@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "components/compute_board.hh"
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "engine/engine.hh"
+
+#include "../dse/batch_test_util.hh"
 
 namespace dronedse {
 namespace {
@@ -14,6 +17,7 @@ using namespace unit_literals;
 using engine::EngineOptions;
 using engine::SweepEngine;
 using engine::bestFeasibleIndex;
+using batch_test::expectByteIdentical;
 
 std::vector<DesignInputs>
 mixedPoints()
@@ -58,17 +62,14 @@ TEST(SolvePoints, ElementwiseIdenticalToScalarSolves)
 
 TEST(SolvePoints, ScalarPathMatchesBatchPath)
 {
+    // Reference: a serial `solveDesign` loop over the same list.
     const std::vector<DesignInputs> points = mixedPoints();
-    SweepEngine batch{EngineOptions{.threads = 2}};
-    SweepEngine scalar{
-        EngineOptions{.threads = 2, .batchSolve = false}};
-    const auto a = batch.solvePoints(points);
-    const auto b = scalar.solvePoints(points);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].feasible, b[i].feasible);
-        EXPECT_EQ(a[i].totalWeightG, b[i].totalWeightG);
-        EXPECT_EQ(a[i].flightTimeMin, b[i].flightTimeMin);
+    SweepEngine eng{EngineOptions{.threads = 2}};
+    const auto batch = eng.solvePoints(points);
+    ASSERT_EQ(batch.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE("index " + std::to_string(i));
+        expectByteIdentical(solveDesign(points[i]), batch[i]);
     }
 }
 

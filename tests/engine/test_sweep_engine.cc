@@ -10,6 +10,8 @@
 #include "dse/weight_closure.hh"
 #include "engine/engine.hh"
 
+#include "../dse/batch_test_util.hh"
+
 namespace dronedse {
 namespace {
 
@@ -17,6 +19,7 @@ using namespace unit_literals;
 using engine::EngineOptions;
 using engine::SweepEngine;
 using engine::SweepResult;
+using batch_test::expectByteIdentical;
 
 /** The Figure 10 footprint grid of the medium class. */
 SweepSpec
@@ -31,47 +34,28 @@ fig10MediumGrid()
     return spec;
 }
 
-void
-expectIdenticalResults(const DesignResult &a, const DesignResult &b)
-{
-    ASSERT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.infeasibleReason, b.infeasibleReason);
-    EXPECT_EQ(a.inputs.capacityMah, b.inputs.capacityMah);
-    EXPECT_EQ(a.inputs.cells, b.inputs.cells);
-    EXPECT_EQ(a.inputs.compute.name, b.inputs.compute.name);
-    EXPECT_EQ(a.inputs.activity, b.inputs.activity);
-    // Bitwise-identical solved quantities, not just approximately
-    // equal: the determinism contract is exact.
-    EXPECT_EQ(a.totalWeightG, b.totalWeightG);
-    EXPECT_EQ(a.basicWeightG, b.basicWeightG);
-    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
-    EXPECT_EQ(a.flightTimeMin, b.flightTimeMin);
-    EXPECT_EQ(a.computePowerFraction, b.computePowerFraction);
-    EXPECT_EQ(a.motorMaxCurrentA, b.motorMaxCurrentA);
-    EXPECT_EQ(a.motor.kv, b.motor.kv);
-}
-
 class SweepEngineThreads : public testing::TestWithParam<int>
 {
 };
 
 TEST_P(SweepEngineThreads, ElementwiseIdenticalToSerial)
 {
-    const SweepSpec spec = fig10MediumGrid();
-    const std::vector<DesignResult> serial = runSweepSerial(spec);
-
+    const SweepSpec small =
+        classSweepSpec(classSpec(SizeClass::Small), {1, 2, 3, 4},
+                       200.0_mah, advancedChip20W());
     SweepEngine eng{EngineOptions{.threads = GetParam()}};
-    const SweepResult swept = eng.run(spec);
-
-    ASSERT_EQ(swept.points.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdenticalResults(swept.points[i], serial[i]);
-
-    // And again from a warm cache: hits must be exact replays.
-    const SweepResult rerun = eng.run(spec);
-    ASSERT_EQ(rerun.points.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectIdenticalResults(rerun.points[i], serial[i]);
+    for (const SweepSpec &spec : {fig10MediumGrid(), small}) {
+        const std::vector<DesignResult> serial = runSweepSerial(spec);
+        // The second pass on the same engine is a fresh solve too.
+        for (int pass = 0; pass < 2; ++pass) {
+            const SweepResult swept = eng.run(spec);
+            ASSERT_EQ(swept.points.size(), serial.size());
+            for (std::size_t i = 0; i < serial.size(); ++i) {
+                SCOPED_TRACE("index " + std::to_string(i));
+                expectByteIdentical(serial[i], swept.points[i]);
+            }
+        }
+    }
 }
 
 TEST_P(SweepEngineThreads, CsvExportByteIdenticalToSerial)
@@ -107,7 +91,7 @@ TEST(SweepEngine, BestConfigurationMatchesSerial)
         SweepEngine eng{EngineOptions{.threads = 4}};
         const DesignResult parallel =
             eng.bestConfiguration(spec, basicChip3W());
-        expectIdenticalResults(parallel, serial);
+        expectByteIdentical(serial, parallel);
     }
 }
 
@@ -132,39 +116,41 @@ TEST(SweepEngine, StatsAccountForEveryPoint)
     const SweepSpec spec = fig10MediumGrid();
     SweepEngine eng{EngineOptions{.threads = 2}};
 
-    const SweepResult cold = eng.run(spec);
-    EXPECT_EQ(cold.stats.gridPoints, spec.pointCount());
-    EXPECT_EQ(cold.stats.threads, 2);
-    EXPECT_GT(cold.stats.pointsPerSecond, 0.0);
-    // Cold run: every point misses once.
-    EXPECT_EQ(cold.stats.cache.hits, 0u);
-    EXPECT_EQ(cold.stats.cache.misses, spec.pointCount());
+    const SweepResult swept = eng.run(spec);
+    EXPECT_EQ(swept.stats.gridPoints, spec.pointCount());
+    EXPECT_EQ(swept.stats.threads, 2);
+    EXPECT_GT(swept.stats.pointsPerSecond, 0.0);
     std::uint64_t items = 0;
-    for (const auto &worker : cold.stats.perThread)
+    for (const auto &worker : swept.stats.perThread)
         items += worker.itemsProcessed;
     EXPECT_EQ(items, spec.pointCount());
 
-    // Warm run: every point hits.
-    const SweepResult warm = eng.run(spec);
-    EXPECT_EQ(warm.stats.cache.hits, spec.pointCount());
-    EXPECT_EQ(warm.stats.cache.misses, 0u);
-
-    const std::string json = warm.stats.toJson();
+    const std::string json = swept.stats.toJson();
+    EXPECT_NE(json.find("\"grid_points\": " +
+                        std::to_string(spec.pointCount())),
+              std::string::npos);
     EXPECT_NE(json.find("\"points_per_second\""), std::string::npos);
-    EXPECT_NE(json.find("\"hit_rate\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"per_thread\""), std::string::npos);
 }
 
-TEST(SweepEngine, SharedEngineSolveMatchesSolveDesign)
+TEST(SweepEngine, SolveMatchesSolveDesign)
 {
     DesignInputs in;
     in.wheelbaseMm = 450.0_mm;
     in.cells = 3;
     in.capacityMah = 3000.0_mah;
-    const DesignResult direct = solveDesign(in);
-    const DesignResult cached = engine::sharedEngine().solve(in);
-    expectIdenticalResults(cached, direct);
-    expectIdenticalResults(engine::sharedEngine().solve(in), direct);
+    DesignInputs nearby = in;
+    nearby.capacityMah = 3000.0000004_mah;
+
+    SweepEngine eng{EngineOptions{.threads = 1}};
+    expectByteIdentical(solveDesign(in), eng.solve(in));
+    expectByteIdentical(solveDesign(nearby), eng.solve(nearby));
+
+    // The cache-shaped counters count solves and never report a hit.
+    const engine::CacheCounters counters = eng.cacheCounters();
+    EXPECT_EQ(counters.hits, 0u);
+    EXPECT_EQ(counters.misses, 2u);
+    EXPECT_EQ(counters.evictions, 0u);
 }
 
 } // namespace

@@ -145,8 +145,7 @@ TEST(AdaptiveDriver, ByteIdenticalAcrossThreadCountsAndReruns)
         SweepEngine eng{EngineOptions{.threads = threads}};
         AdaptiveDriver driver(eng, options);
         const ExploreResult first = driver.run(space);
-        // Rerun on the same engine: the warm memo cache must not
-        // change the answer, only the cost.
+        // Rerun on the same engine: the answer must not change.
         const ExploreResult second = driver.run(space);
         EXPECT_EQ(frontierCsv(first), frontierCsv(second));
         EXPECT_EQ(roundsCsv(first), roundsCsv(second));

@@ -156,20 +156,20 @@ TEST(ServePlanner, SweepAndParetoShareOneCoalescingKey)
     engine::SweepEngine engine{engine::EngineOptions{.threads = 1}};
     QueryPlanner planner{engine};
 
-    // Same spec, different kind: pareto reuses the sweep's batch via
-    // the memo cache (serial here, so the second run is all hits).
+    // Same spec, different kind: one coalescing key, so concurrent
+    // callers share a batch.  Run serially, each query leads its own
+    // batch and solves the grid once.
     Request sweep = validSweep(1);
     Request pareto = validSweep(2);
     pareto.kind = QueryKind::Pareto;
 
     planner.execute(sweep);
-    const engine::CacheCounters after_sweep =
-        engine.cacheCounters();
     planner.execute(pareto);
-    const engine::CacheCounters after_pareto =
-        engine.cacheCounters();
-    EXPECT_EQ(after_pareto.misses, after_sweep.misses)
-        << "pareto over the same spec re-solved points";
+    const PlannerStats stats = planner.stats();
+    EXPECT_EQ(stats.batchesLed, 2u);
+    EXPECT_EQ(stats.coalesced, 0u);
+    EXPECT_EQ(engine.cacheCounters().misses,
+              stats.batchesLed * sweep.spec.pointCount());
 }
 
 TEST(ServePlanner, ConcurrentIdenticalSweepsCoalesce)
@@ -198,11 +198,10 @@ TEST(ServePlanner, ConcurrentIdenticalSweepsCoalesce)
     EXPECT_GE(stats.batchesLed, 1u);
     EXPECT_EQ(stats.batchesLed + stats.coalesced,
               static_cast<std::uint64_t>(kCallers));
-    // The race is real, so followers are not guaranteed, but points
-    // were solved exactly once: every batch after the first is pure
-    // cache hits.
-    const engine::CacheCounters cache = engine.cacheCounters();
-    EXPECT_EQ(cache.misses, request.spec.pointCount());
+    // The race is real, so followers are not guaranteed, but each
+    // led batch solved the grid exactly once and no follower solved.
+    EXPECT_EQ(engine.cacheCounters().misses,
+              stats.batchesLed * request.spec.pointCount());
 }
 
 TEST(ServePlanner, AcceptsValidExploreAndRiskQueries)
@@ -352,10 +351,17 @@ TEST(ServePlanner, ConcurrentIdenticalExploresCoalesce)
     EXPECT_GE(stats.batchesLed, 1u);
     EXPECT_EQ(stats.batchesLed + stats.coalesced,
               static_cast<std::uint64_t>(kCallers));
-    // Whatever the leader/follower split, no caller re-solved a
-    // design: every run after the first is pure cache hits.
-    const engine::CacheCounters cache = engine.cacheCounters();
-    EXPECT_LE(cache.misses, request.explore.options.maxEvaluations);
+    // Whatever the leader/follower split, each led batch ran the
+    // deterministic exploration once and no follower solved: an
+    // identical run on a fresh engine gives the per-batch count.
+    engine::SweepEngine oracle_engine{
+        engine::EngineOptions{.threads = 1}};
+    explore::AdaptiveDriver(oracle_engine, request.explore.options)
+        .run(request.explore.space);
+    const std::uint64_t points = oracle_engine.cacheCounters().misses;
+    EXPECT_GT(points, 0u);
+    EXPECT_LE(points, request.explore.options.maxEvaluations);
+    EXPECT_EQ(engine.cacheCounters().misses, stats.batchesLed * points);
 }
 
 TEST(ServePlanner, ConcurrentRunsAreSerializedByTheEngine)

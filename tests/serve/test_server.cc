@@ -60,6 +60,14 @@ TEST(ServeTransport, DesignReplyMatchesSerialOracle)
         transport.roundTrip(serializeRequest(request));
     EXPECT_EQ(reply, serializeDesignReply(
                          request.id, solveDesign(request.point)));
+
+    // A point 4e-7 mAh away is a different design: its reply must be
+    // its own solve, never the previous point's numbers.
+    const Request nearby = designRequest(6, 2200.0000004);
+    ASSERT_NE(nearby.point.capacityMah, request.point.capacityMah);
+    EXPECT_EQ(transport.roundTrip(serializeRequest(nearby)),
+              serializeDesignReply(nearby.id,
+                                   solveDesign(nearby.point)));
 }
 
 TEST(ServeTransport, SweepReplyMatchesRunSweepSerialOracle)
@@ -74,7 +82,7 @@ TEST(ServeTransport, SweepReplyMatchesRunSweepSerialOracle)
     request.kind = QueryKind::Sweep;
     request.spec = smallSpec();
 
-    // Oracle: the plain serial sweep path, no engine, no cache.
+    // Oracle: the plain serial sweep path, no engine.
     const std::vector<DesignResult> points =
         runSweepSerial(request.spec);
     std::size_t feasible = 0;
