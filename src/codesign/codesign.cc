@@ -1,6 +1,7 @@
 #include "codesign/codesign.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "util/logging.hh"
@@ -167,6 +168,25 @@ foldMax(CodesignChoice &slot, const CodesignChoice &candidate)
     }
 }
 
+/** The mission's airframe/battery grid over the given boards. */
+SweepSpec
+missionSweepSpec(const MissionSpec &mission,
+                 std::vector<ComputeBoardRecord> boards)
+{
+    SweepSpec spec;
+    spec.airframes.clear();
+    for (const auto wheelbase : mission.wheelbasesMm)
+        spec.airframes.push_back(SweepAirframe{wheelbase});
+    spec.boards = std::move(boards);
+    spec.activities = {mission.activity};
+    spec.cells = mission.cells;
+    spec.capacityLoMah = mission.capacityLoMah;
+    spec.capacityHiMah = mission.capacityHiMah;
+    spec.capacityStepMah = mission.capacityStepMah;
+    spec.payloadG = mission.payloadG;
+    return spec;
+}
+
 } // namespace
 
 const char *
@@ -220,6 +240,22 @@ MissionSpec::MissionSpec()
 {
 }
 
+std::string
+validateMission(const MissionSpec &mission)
+{
+    if (!(std::isfinite(mission.targetRateHz) &&
+          mission.targetRateHz > 0.0))
+        return "targetRateHz must be finite and > 0";
+    for (double ops : mission.perFrameOps) {
+        if (!(std::isfinite(ops) && ops > 0.0))
+            return "perFrameOps must be finite and > 0";
+    }
+    // The search's own boards are finite by construction, so the
+    // grid is checked over the default design point's board.
+    return validateSweepSpec(
+        missionSweepSpec(mission, {DesignInputs{}.compute}));
+}
+
 CodesignDriver::CodesignDriver(engine::SweepEngine &eng,
                                const RooflineModel &model)
     : engine_(eng), model_(model)
@@ -264,23 +300,16 @@ searchConfigs(engine::SweepEngine &eng, const MissionSpec &mission,
     if (configs.empty())
         return outcome;
 
-    SweepSpec spec;
-    spec.airframes.clear();
-    for (const auto wheelbase : mission.wheelbasesMm)
-        spec.airframes.push_back(SweepAirframe{wheelbase});
-    spec.boards.reserve(configs.size());
+    std::vector<ComputeBoardRecord> records;
+    records.reserve(configs.size());
     for (const ComputeConfig &cfg : configs) {
-        spec.boards.push_back(
+        records.push_back(
             ComputeBoardRecord{cfg.boardName, BoardClass::Improved,
                                cfg.computeWeightG.value(),
                                cfg.computePowerW.value()});
     }
-    spec.activities = {mission.activity};
-    spec.cells = mission.cells;
-    spec.capacityLoMah = mission.capacityLoMah;
-    spec.capacityHiMah = mission.capacityHiMah;
-    spec.capacityStepMah = mission.capacityStepMah;
-    spec.payloadG = mission.payloadG;
+    const SweepSpec spec =
+        missionSweepSpec(mission, std::move(records));
 
     const engine::SweepResult result = eng.run(spec);
     outcome.gridPoints = result.points.size();

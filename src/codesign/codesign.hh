@@ -86,6 +86,13 @@ struct MissionSpec
     MissionSpec();
 };
 
+/**
+ * A finite target rate and per-frame op counts > 0, and an airframe
+ * and battery grid `validateSweepSpec` accepts.  Returns "" when
+ * valid, else the first violation.
+ */
+std::string validateMission(const MissionSpec &mission);
+
 /** The canonical amortized per-frame op mix. */
 std::array<double, static_cast<std::size_t>(SlamPhase::NumPhases)>
 defaultPerFrameOps();

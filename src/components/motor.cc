@@ -1,5 +1,7 @@
 #include "components/motor.hh"
 
+#include <algorithm>
+
 #include "physics/propeller_aero.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
@@ -17,6 +19,17 @@ motorWeightG(Quantity<GramsForce> max_thrust)
     return Quantity<Grams>(2.0 + max_thrust.value() / 15.0);
 }
 
+std::string
+motorName(double kv_rating, Quantity<Inches> prop_diameter)
+{
+    const auto whole = [](double v) {
+        return std::to_string(
+            static_cast<long long>(std::clamp(v, -9e18, 9e18)));
+    };
+    return "BLDC-" + whole(kv_rating) + "Kv-" +
+           whole(prop_diameter.value()) + "in";
+}
+
 MotorRecord
 matchMotor(Quantity<GramsForce> required_thrust,
            Quantity<Inches> prop_diameter, Quantity<Volts> supply_voltage)
@@ -32,9 +45,7 @@ matchMotor(Quantity<GramsForce> required_thrust,
         motorCurrentA(required_thrust, prop_diameter, supply_voltage)
             .value();
     rec.weightG = motorWeightG(required_thrust).value();
-    rec.name = "BLDC-" + std::to_string(static_cast<int>(rec.kv)) + "Kv-" +
-               std::to_string(static_cast<int>(prop_diameter.value())) +
-               "in";
+    rec.name = motorName(rec.kv, prop_diameter);
     return rec;
 }
 

@@ -64,6 +64,13 @@ struct MotorRecord
 Quantity<Grams> motorWeightG(Quantity<GramsForce> max_thrust);
 
 /**
+ * The record name "BLDC-<Kv>Kv-<prop>in", both values truncated to
+ * whole numbers (saturating, so a degenerate Kv past INT_MAX stays
+ * defined).
+ */
+std::string motorName(double kv_rating, Quantity<Inches> prop_diameter);
+
+/**
  * Build the motor matched to a thrust requirement at a supply
  * voltage, using the propulsion physics to derive Kv and current.
  *

@@ -167,9 +167,7 @@ finishLane(const DesignInputs &in, DesignResult &res,
     motor.kv = st.lastKv[l];
     motor.maxCurrentA = st.lastCurrent[l];
     motor.weightG = st.lastMotorW[l];
-    motor.name = "BLDC-" + std::to_string(static_cast<int>(motor.kv)) +
-                 "Kv-" +
-                 std::to_string(static_cast<int>(prop.value())) + "in";
+    motor.name = motorName(motor.kv, prop);
 
     const Quantity<Grams> total{st.total[l]};
     const Quantity<Grams> esc_w{st.lastEscW[l]};

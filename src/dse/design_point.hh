@@ -16,6 +16,7 @@
 
 #include <string>
 
+#include "components/battery.hh"
 #include "components/compute_board.hh"
 #include "components/esc.hh"
 #include "components/motor.hh"
@@ -58,6 +59,20 @@ struct DesignInputs
     /** Activity regime for the average-power equation. */
     FlightActivity activity = FlightActivity::Hovering;
 };
+
+/** The physical envelope, beside the LiPo `kMinCells`/`kMaxCells`. */
+inline constexpr double kMinTwr = 1.0;
+inline constexpr double kMaxTwr = 10.0;
+inline constexpr Quantity<Millimeters> kMaxWheelbase{2000.0};
+
+/**
+ * The inputs the model is defined for: wheelbase in (0,
+ * kMaxWheelbase], TWR in [kMinTwr, kMaxTwr], cells in the LiPo range,
+ * a finite capacity > 0, and every other number finite and >= 0.
+ * Each rule reads one field.  Returns "" when valid, else the first
+ * violation (the serve planner replies with it).
+ */
+std::string validateDesignInputs(const DesignInputs &inputs);
 
 /** Resolved quantities of a design point (Equations 1-7). */
 struct DesignResult

@@ -39,13 +39,16 @@ classSpec(SizeClass size_class)
 
 namespace {
 
+/** How far past capacityHiMah the capacity loops still emit a value. */
+constexpr Quantity<MilliampHours> kCapacitySlack{1e-9};
+
 /** Capacity axis values, accumulated exactly like the serial loop. */
 std::vector<Quantity<MilliampHours>>
 capacityAxis(const SweepSpec &spec)
 {
     std::vector<Quantity<MilliampHours>> out;
     for (Quantity<MilliampHours> cap = spec.capacityLoMah;
-         cap <= spec.capacityHiMah + Quantity<MilliampHours>(1e-9);
+         cap <= spec.capacityHiMah + kCapacitySlack;
          cap += spec.capacityStepMah) {
         out.push_back(cap);
     }
@@ -59,12 +62,68 @@ SweepSpec::pointCount() const
 {
     std::size_t caps = 0;
     for (Quantity<MilliampHours> cap = capacityLoMah;
-         cap <= capacityHiMah + Quantity<MilliampHours>(1e-9);
+         cap <= capacityHiMah + kCapacitySlack;
          cap += capacityStepMah) {
         ++caps;
     }
     return airframes.size() * boards.size() * activities.size() *
            cells.size() * caps;
+}
+
+std::string
+validateSweepSpec(const SweepSpec &spec)
+{
+    if (spec.airframes.empty() || spec.boards.empty() ||
+        spec.activities.empty() || spec.cells.empty())
+        return "every axis (airframes, boards, activities, cells) "
+               "needs at least one value";
+    const double step = spec.capacityStepMah.value();
+    if (!(std::isfinite(step) && step > 0.0))
+        return "capacityStepMah must be finite and > 0";
+
+    // The design-point rules each read one field, so walking every
+    // axis value through one probe point checks every grid point.
+    DesignInputs probe;
+    probe.twr = spec.twr;
+    probe.sensorWeightG = spec.sensorWeightG;
+    probe.sensorPowerW = spec.sensorPowerW;
+    probe.payloadG = spec.payloadG;
+    std::string err;
+    const auto valid = [&] {
+        err = validateDesignInputs(probe);
+        return err.empty();
+    };
+    for (const SweepAirframe &airframe : spec.airframes) {
+        probe.wheelbaseMm = airframe.wheelbaseMm;
+        probe.propDiameterIn = airframe.propDiameterIn;
+        if (!valid())
+            return err;
+    }
+    for (const ComputeBoardRecord &board : spec.boards) {
+        probe.compute = board;
+        if (!valid())
+            return err;
+    }
+    for (int cells : spec.cells) {
+        probe.cells = cells;
+        if (!valid())
+            return err;
+    }
+    for (Quantity<MilliampHours> cap :
+         {spec.capacityLoMah, spec.capacityHiMah}) {
+        probe.capacityMah = cap;
+        if (!valid())
+            return err;
+    }
+    if (spec.capacityHiMah < spec.capacityLoMah)
+        return "capacityHiMah must be >= capacityLoMah";
+    // The capacity loops accumulate lo + step + step ...; a step below
+    // the spacing of doubles near the top of the axis never gets there.
+    const double top = (spec.capacityHiMah + kCapacitySlack).value();
+    if (step < std::nextafter(top, INFINITY) - top)
+        return "capacityStepMah is too small to advance the axis to "
+               "capacityHiMah";
+    return "";
 }
 
 SweepSpec
@@ -88,12 +147,9 @@ classSweepSpec(const SizeClassSpec &spec, std::vector<int> cells,
 std::vector<DesignInputs>
 expandGrid(const SweepSpec &spec)
 {
-    if (spec.capacityStepMah.value() <= 0.0)
-        fatal("expandGrid: capacity step must be positive");
-    if (spec.airframes.empty() || spec.boards.empty() ||
-        spec.activities.empty() || spec.cells.empty()) {
-        fatal("expandGrid: every axis needs at least one value");
-    }
+    const std::string err = validateSweepSpec(spec);
+    if (!err.empty())
+        fatal("expandGrid: " + err);
 
     const auto caps = capacityAxis(spec);
     std::vector<DesignInputs> out;
@@ -143,9 +199,6 @@ sweepCapacity(const SizeClassSpec &spec, int cells,
               const ComputeBoardRecord &compute, FlightActivity activity,
               double twr)
 {
-    if (step.value() <= 0.0)
-        fatal("sweepCapacity: step must be positive");
-
     const auto solved = runSweepSerial(
         classSweepSpec(spec, {cells}, step, compute, activity, twr));
     std::vector<DesignResult> out;

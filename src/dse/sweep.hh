@@ -15,6 +15,7 @@
 #ifndef DRONEDSE_DSE_SWEEP_HH
 #define DRONEDSE_DSE_SWEEP_HH
 
+#include <string>
 #include <vector>
 
 #include "components/commercial.hh"
@@ -100,6 +101,13 @@ struct SweepSpec
     /** Number of grid points the spec expands to. */
     std::size_t pointCount() const;
 };
+
+/**
+ * Every axis non-empty, a finite capacity step > 0, lo <= hi, and
+ * every grid value passing `validateDesignInputs`.  Returns "" when
+ * valid, else the first violation.
+ */
+std::string validateSweepSpec(const SweepSpec &spec);
 
 /**
  * The shared Figure 10/11 builder: one size class's capacity grid

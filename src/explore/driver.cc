@@ -250,16 +250,25 @@ foldFrontier(ExploreResult &result, std::size_t first_new)
 
 } // namespace
 
+std::string
+validateExploreOptions(const ExploreOptions &options)
+{
+    if (options.maxEvaluations == 0)
+        return "maxEvaluations must be positive";
+    if (options.initialSamples == 0)
+        return "initialSamples must be positive";
+    if (options.roundEvaluations == 0)
+        return "roundEvaluations must be positive";
+    return "";
+}
+
 AdaptiveDriver::AdaptiveDriver(engine::SweepEngine &eng,
                                ExploreOptions options)
     : engine_(eng), options_(options)
 {
-    if (options_.maxEvaluations == 0)
-        fatal("AdaptiveDriver: maxEvaluations must be positive");
-    if (options_.initialSamples == 0)
-        fatal("AdaptiveDriver: initialSamples must be positive");
-    if (options_.roundEvaluations == 0)
-        fatal("AdaptiveDriver: roundEvaluations must be positive");
+    const std::string err = validateExploreOptions(options_);
+    if (!err.empty())
+        fatal("AdaptiveDriver: " + err);
 }
 
 ExploreResult

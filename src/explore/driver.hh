@@ -79,6 +79,9 @@ struct ExploreOptions
     bool bisectBoundary = true;
 };
 
+/** Positive budgets; returns "" when valid, else the violation. */
+std::string validateExploreOptions(const ExploreOptions &options);
+
 /** Instrumentation record of one refinement round. */
 struct RoundStats
 {

@@ -1,5 +1,6 @@
 #include "explore/gate.hh"
 
+#include <cmath>
 #include <cstdio>
 
 #include "obs/metrics.hh"
@@ -129,6 +130,28 @@ gateReportCsv(const GateReport &report)
     return out;
 }
 
+std::string
+validateRiskQuery(const RiskQuery &query)
+{
+    std::string err = validateDesignInputs(query.point);
+    if (err.empty())
+        err = validateUncertaintyOptions(query.options);
+    if (!err.empty())
+        return err;
+    for (const GateSpec &gate : query.gates) {
+        if (!std::isfinite(gate.threshold))
+            return "gate threshold must be finite";
+        if (!(gate.minProbability >= 0.0 &&
+              gate.minProbability <= 1.0))
+            return "gate minProbability must be in [0, 1]";
+    }
+    for (double q : query.quantiles) {
+        if (!(q >= 0.0 && q <= 1.0))
+            return "quantiles must be in [0, 1]";
+    }
+    return "";
+}
+
 RiskOutcome
 runRiskQuery(const RiskQuery &query)
 {
@@ -140,10 +163,9 @@ runRiskQuery(const RiskQuery &query)
 RiskOutcome
 runRiskQuery(const RiskQuery &query, const FitScatter &scatter)
 {
-    for (double q : query.quantiles) {
-        if (!(q >= 0.0 && q <= 1.0))
-            fatal("runRiskQuery: quantile outside [0, 1]");
-    }
+    const std::string err = validateRiskQuery(query);
+    if (!err.empty())
+        fatal("runRiskQuery: " + err);
     RiskOutcome outcome;
     outcome.uncertainty =
         propagateUncertainty(query.point, query.options, scatter);

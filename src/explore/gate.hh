@@ -103,6 +103,13 @@ struct RiskQuery
     std::vector<double> quantiles;
 };
 
+/**
+ * A point and options their validators accept, finite gate
+ * thresholds, and probabilities and quantiles in [0, 1].  Returns ""
+ * when valid, else the first violation.
+ */
+std::string validateRiskQuery(const RiskQuery &query);
+
 /** Everything one risk query produces. */
 struct RiskOutcome
 {

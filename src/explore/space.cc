@@ -94,6 +94,30 @@ accumulate(double lo, double step, std::size_t i)
     return v;
 }
 
+/** Set the field a continuous (lattice) axis spans to `v`. */
+void
+assignLattice(DesignInputs &in, AxisKind kind, double v)
+{
+    switch (kind) {
+    case AxisKind::Wheelbase:
+        in.wheelbaseMm = Quantity<Millimeters>(v);
+        break;
+    case AxisKind::Capacity:
+        in.capacityMah = Quantity<MilliampHours>(v);
+        break;
+    case AxisKind::Twr:
+        in.twr = v;
+        break;
+    case AxisKind::Payload:
+        in.payloadG = Quantity<Grams>(v);
+        break;
+    case AxisKind::Cells:
+    case AxisKind::Board:
+    case AxisKind::Activity:
+        panic("assignLattice: not a lattice axis");
+    }
+}
+
 } // namespace
 
 AxisSpec
@@ -199,19 +223,8 @@ ExploreSpace::materialize(std::span<const std::size_t> index) const
                   "axis " +
                   std::string(axisKindName(axis.kind)));
         switch (axis.kind) {
-        case AxisKind::Wheelbase:
-            in.wheelbaseMm = Quantity<Millimeters>(
-                accumulate(axis.lo, axis.step, i));
-            break;
         case AxisKind::Cells:
             in.cells = axis.cells[i];
-            break;
-        case AxisKind::Capacity:
-            in.capacityMah = Quantity<MilliampHours>(
-                accumulate(axis.lo, axis.step, i));
-            break;
-        case AxisKind::Twr:
-            in.twr = accumulate(axis.lo, axis.step, i);
             break;
         case AxisKind::Board:
             in.compute = axis.boards[i];
@@ -219,9 +232,9 @@ ExploreSpace::materialize(std::span<const std::size_t> index) const
         case AxisKind::Activity:
             in.activity = axis.activities[i];
             break;
-        case AxisKind::Payload:
-            in.payloadG = Quantity<Grams>(
-                accumulate(axis.lo, axis.step, i));
+        default:
+            assignLattice(in, axis.kind,
+                          accumulate(axis.lo, axis.step, i));
             break;
         }
     }
@@ -233,6 +246,17 @@ validateSpace(const ExploreSpace &space)
 {
     if (space.axes.empty())
         return "space needs at least one axis";
+    std::string err = validateDesignInputs(space.base);
+    if (!err.empty())
+        return "base: " + err;
+    // The design-point rules each read one field, so moving one
+    // probe point through every axis value (or lattice endpoint)
+    // checks every point of the lattice.
+    DesignInputs probe = space.base;
+    const auto valid = [&] {
+        err = validateDesignInputs(probe);
+        return err.empty();
+    };
     bool seen[7] = {};
     for (const AxisSpec &axis : space.axes) {
         const int k = static_cast<int>(axis.kind);
@@ -245,26 +269,42 @@ validateSpace(const ExploreSpace &space)
         if (axis.size() == 0)
             return std::string("axis '") + axisKindName(axis.kind) +
                    "' is empty";
+        const auto fail = [&](const std::string &what) {
+            return std::string("axis '") + axisKindName(axis.kind) +
+                   "': " + what;
+        };
         switch (axis.kind) {
         case AxisKind::Cells:
             for (int c : axis.cells) {
-                if (c < kMinCells || c > kMaxCells)
-                    return "cells axis value out of [1, 6]";
+                probe.cells = c;
+                if (!valid())
+                    return fail(err);
             }
             break;
         case AxisKind::Board:
+            for (const ComputeBoardRecord &board : axis.boards) {
+                probe.compute = board;
+                if (!valid())
+                    return fail(err);
+            }
+            break;
         case AxisKind::Activity:
             break;
-        default:
+        default: {
             if (!std::isfinite(axis.lo) || !std::isfinite(axis.step))
-                return std::string("axis '") +
-                       axisKindName(axis.kind) +
-                       "' has non-finite lattice parameters";
+                return fail("non-finite lattice parameters");
             if (axis.count > 1 && axis.step <= 0.0)
-                return std::string("axis '") +
-                       axisKindName(axis.kind) +
-                       "' needs a positive step when count > 1";
+                return fail("needs a positive step when count > 1");
+            const double hi =
+                axis.lo +
+                axis.step * static_cast<double>(axis.count - 1);
+            for (double v : {axis.lo, hi}) {
+                assignLattice(probe, axis.kind, v);
+                if (!valid())
+                    return fail(err);
+            }
             break;
+        }
         }
     }
     return "";

@@ -118,11 +118,13 @@ struct ExploreSpace
 };
 
 /**
- * Structural validation: at most one axis per kind, every axis
- * non-empty, cell values within the LiPo range, lattice steps
- * finite and positive when count > 1.  Returns an empty string when
- * valid, else the first violation (the serve planner surfaces it as
- * an `invalid_request` message).
+ * The spaces exploration is defined for: at least one axis, at most
+ * one per kind, every axis non-empty, lattice parameters finite with
+ * a positive step when count > 1, and the base point, every cells
+ * and board value, and both endpoints of every lattice passing
+ * `validateDesignInputs`.  Returns an empty string when valid, else
+ * the first violation (the serve planner surfaces it as an
+ * `invalid_request` message).
  */
 std::string validateSpace(const ExploreSpace &space);
 

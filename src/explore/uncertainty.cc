@@ -17,6 +17,16 @@
 
 namespace dronedse::explore {
 
+std::string
+validateUncertaintyOptions(const UncertaintyOptions &options)
+{
+    if (options.samples == 0)
+        return "samples must be positive";
+    if (options.scatterReplicates < 2)
+        return "scatterReplicates must be >= 2";
+    return "";
+}
+
 SurveyModel
 SurveyModel::paper()
 {
@@ -34,9 +44,11 @@ SurveyModel::paper()
 FitScatter
 FitScatter::fromCatalogs(std::uint64_t seed, int replicates)
 {
-    if (replicates < 2)
-        fatal("FitScatter::fromCatalogs: needs at least 2 "
-              "replicates");
+    const std::string err = validateUncertaintyOptions(
+        UncertaintyOptions{.seed = seed,
+                           .scatterReplicates = replicates});
+    if (!err.empty())
+        fatal("FitScatter::fromCatalogs: " + err);
 
     std::array<std::vector<double>, 6> bat_slope, bat_icept;
     std::array<std::vector<double>, 2> esc_slope, esc_icept;
@@ -252,8 +264,9 @@ propagateUncertainty(const DesignInputs &point,
                      const UncertaintyOptions &options,
                      const FitScatter &scatter)
 {
-    if (options.samples == 0)
-        fatal("propagateUncertainty: samples must be positive");
+    const std::string err = validateUncertaintyOptions(options);
+    if (!err.empty())
+        fatal("propagateUncertainty: " + err);
 
     UncertaintyResult out;
     out.nominal = solveDesign(point);

@@ -37,6 +37,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "dse/design_point.hh"
 #include "util/ecdf.hh"
@@ -108,6 +109,13 @@ struct UncertaintyOptions
     /** Catalog replicates behind `FitScatter::fromCatalogs`. */
     int scatterReplicates = 64;
 };
+
+/**
+ * At least one sample and two scatter replicates (a standard
+ * deviation needs two).  Returns "" when valid, else the violation.
+ */
+std::string
+validateUncertaintyOptions(const UncertaintyOptions &options);
 
 /** Distributional outputs of one design point. */
 struct UncertaintyResult

@@ -163,62 +163,43 @@ AdmissionController::closeWindow()
 }
 
 AdmitDecision
-AdmissionController::submit(QueuedItem item, double t)
+AdmissionController::decide(QueryClass cls, double t)
 {
     obs::MetricsRegistry &registry = obs::metrics();
-    util::MutexLock lock(mutex_);
     advanceState(t);
 
-    AdmitDecision decision = AdmitDecision::Admit;
     if (state_ == ShedState::RejectAll) {
-        decision = AdmitDecision::ShedAll;
         ++stats_.shedAll;
         registry.counter("serve.admission.shed_all").add(1);
-    } else if (state_ == ShedState::ShedLowPriority &&
-               item.request.cls == QueryClass::Batch) {
-        decision = AdmitDecision::ShedClass;
+        return AdmitDecision::ShedAll;
+    }
+    if (state_ == ShedState::ShedLowPriority &&
+        cls == QueryClass::Batch) {
         ++stats_.shedClass;
         registry.counter("serve.admission.shed_class").add(1);
-    } else {
-        Bucket &bucket = item.request.cls == QueryClass::Interactive
-                             ? interactiveBucket_
-                             : batchBucket_;
-        const TokenBucketConfig &bucket_config =
-            item.request.cls == QueryClass::Interactive
-                ? config_.interactive
-                : config_.batch;
-        if (!takeToken(bucket, bucket_config, t)) {
-            decision = AdmitDecision::RateLimited;
-            ++stats_.rateLimited;
-            registry.counter("serve.admission.rate_limited").add(1);
-        } else if (queue_.size() >= config_.queueCapacity) {
-            decision = AdmitDecision::QueueFull;
-            ++stats_.queueFull;
-            registry.counter("serve.admission.queue_full").add(1);
-        }
+        return AdmitDecision::ShedClass;
     }
-    if (decision != AdmitDecision::Admit)
-        return decision;
-
-    item.enqueueT = t;
-    queue_.push_back(std::move(item));
+    const bool interactive = cls == QueryClass::Interactive;
+    if (!takeToken(interactive ? interactiveBucket_ : batchBucket_,
+                   interactive ? config_.interactive : config_.batch,
+                   t)) {
+        ++stats_.rateLimited;
+        registry.counter("serve.admission.rate_limited").add(1);
+        return AdmitDecision::RateLimited;
+    }
+    if (queue_.size() >= config_.queueCapacity) {
+        ++stats_.queueFull;
+        registry.counter("serve.admission.queue_full").add(1);
+        return AdmitDecision::QueueFull;
+    }
     ++stats_.admitted;
     registry.counter("serve.admission.admitted").add(1);
-    registry.gauge("serve.queue.depth")
-        .set(static_cast<double>(queue_.size()));
     return AdmitDecision::Admit;
 }
 
-bool
-AdmissionController::pop(double t, QueuedItem &out)
+void
+AdmissionController::recordWait(double wait, double t)
 {
-    util::MutexLock lock(mutex_);
-    if (queue_.empty())
-        return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-
-    const double wait = std::max(0.0, t - out.enqueueT);
     waitHist_.record(wait);
     obs::metrics()
         .histogram("serve.queue.wait_seconds", config_.waitBounds)
@@ -234,6 +215,41 @@ AdmissionController::pop(double t, QueuedItem &out)
         closeWindow();
         advanceState(t);
     }
+}
+
+AdmitDecision
+AdmissionController::submit(QueuedItem item, double t)
+{
+    util::MutexLock lock(mutex_);
+    const AdmitDecision decision = decide(item.request.cls, t);
+    if (decision != AdmitDecision::Admit)
+        return decision;
+    item.enqueueT = t;
+    queue_.push_back(std::move(item));
+    obs::metrics().gauge("serve.queue.depth")
+        .set(static_cast<double>(queue_.size()));
+    return AdmitDecision::Admit;
+}
+
+AdmitDecision
+AdmissionController::admitNow(const Request &request, double t)
+{
+    util::MutexLock lock(mutex_);
+    const AdmitDecision decision = decide(request.cls, t);
+    if (decision == AdmitDecision::Admit)
+        recordWait(0.0, t);
+    return decision;
+}
+
+bool
+AdmissionController::pop(double t, QueuedItem &out)
+{
+    util::MutexLock lock(mutex_);
+    if (queue_.empty())
+        return false;
+    out = std::move(queue_.front());
+    queue_.pop_front();
+    recordWait(std::max(0.0, t - out.enqueueT), t);
     return true;
 }
 

@@ -163,6 +163,13 @@ class AdmissionController
         DDSE_EXCLUDES(mutex_);
 
     /**
+     * `submit` for a caller that runs `request` itself: on Admit it
+     * records the zero queue wait `pop` would, and queues nothing.
+     */
+    AdmitDecision admitNow(const Request &request, double t)
+        DDSE_EXCLUDES(mutex_);
+
+    /**
      * Pop the oldest queued item at time `t`.  Records the item's
      * queue wait into the histogram (driving the shed machine) and
      * returns false when the queue is empty.
@@ -191,6 +198,11 @@ class AdmissionController
         bool started = false;
     };
 
+    /** The admission decision at time t, counted. */
+    AdmitDecision decide(QueryClass cls, double t)
+        DDSE_REQUIRES(mutex_);
+    /** Record one dequeue's wait and advance the shed machine. */
+    void recordWait(double wait, double t) DDSE_REQUIRES(mutex_);
     /** Refill at time t, then try to take one token. */
     bool takeToken(Bucket &bucket, const TokenBucketConfig &config,
                    double t) DDSE_REQUIRES(mutex_);

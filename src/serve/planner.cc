@@ -1,8 +1,9 @@
 #include "serve/planner.hh"
 
-#include <cmath>
+#include <algorithm>
+#include <initializer_list>
+#include <utility>
 
-#include "components/battery.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 
@@ -10,329 +11,162 @@ namespace dronedse::serve {
 
 namespace {
 
-bool
-invalid(ErrorReply &err, const std::string &message)
+/*
+ * Service limits: what one query may ask of the service, so no
+ * single query can wedge it.  What is physical is the domain
+ * validators' business.
+ */
+constexpr std::size_t kMaxGridPoints = 200000;
+constexpr std::size_t kMaxAxisEntries = 256;
+constexpr std::size_t kMaxExploreEvaluations = 100000;
+constexpr std::size_t kMaxRiskSamples = 65536;
+constexpr int kMaxScatterReplicates = 4096;
+constexpr Quantity<MilliampHours> kMinCapacityStep{1.0};
+
+std::string
+exceeds(const char *what, std::size_t cap)
 {
-    err.code = ErrorCode::InvalidRequest;
-    err.message = message;
-    return false;
+    return std::string(what) + " exceeds the cap of " +
+           std::to_string(cap);
 }
 
 bool
-finitePositive(double v)
+overAxisCap(std::initializer_list<std::size_t> sizes)
 {
-    return std::isfinite(v) && v > 0.0;
+    return std::max(sizes) > kMaxAxisEntries;
 }
 
-bool
-finiteNonNegative(double v)
+/**
+ * The capacity-axis limits sweeps and missions share, bounded
+ * analytically so a hostile hi/step pair is rejected without
+ * walking the axis.
+ */
+std::string
+capacityAxisViolation(Quantity<MilliampHours> lo,
+                      Quantity<MilliampHours> hi,
+                      Quantity<MilliampHours> step)
 {
-    return std::isfinite(v) && v >= 0.0;
+    if (step < kMinCapacityStep)
+        return "capacity_step_mah is below the minimum step";
+    if ((hi.value() - lo.value()) / step.value() >
+        static_cast<double>(kMaxGridPoints))
+        return exceeds("capacity axis length", kMaxGridPoints);
+    return "";
+}
+
+/** The domain validator of the request's kind. */
+std::string
+domainViolation(const Request &request)
+{
+    switch (request.kind) {
+    case QueryKind::Design:
+        return validateDesignInputs(request.point);
+    case QueryKind::Sweep:
+    case QueryKind::Pareto:
+        return validateSweepSpec(request.spec);
+    case QueryKind::Codesign:
+        return codesign::validateMission(request.mission);
+    case QueryKind::Explore: {
+        const std::string err =
+            explore::validateSpace(request.explore.space);
+        if (!err.empty())
+            return "explore space: " + err;
+        return explore::validateExploreOptions(request.explore.options);
+    }
+    case QueryKind::Risk:
+        return explore::validateRiskQuery(request.risk);
+    }
+    return "";
+}
+
+/** The service limits of a request the domain validators accept. */
+std::string
+serviceLimitViolation(const Request &request)
+{
+    switch (request.kind) {
+    case QueryKind::Design:
+        return "";
+    case QueryKind::Sweep:
+    case QueryKind::Pareto: {
+        const SweepSpec &spec = request.spec;
+        if (overAxisCap({spec.airframes.size(), spec.boards.size(),
+                         spec.activities.size(), spec.cells.size()}))
+            return exceeds("a spec axis", kMaxAxisEntries);
+        std::string err = capacityAxisViolation(
+            spec.capacityLoMah, spec.capacityHiMah, spec.capacityStepMah);
+        if (err.empty() && spec.pointCount() > kMaxGridPoints)
+            err = exceeds("the grid", kMaxGridPoints);
+        return err;
+    }
+    case QueryKind::Codesign: {
+        // The compute-config axis is bounded by construction
+        // (platforms x splits x rate ladder), so capping the
+        // capacity axis bounds the whole expanded grid.
+        const codesign::MissionSpec &mission = request.mission;
+        if (overAxisCap({mission.wheelbasesMm.size(),
+                         mission.cells.size()}))
+            return exceeds("a mission axis", kMaxAxisEntries);
+        return capacityAxisViolation(mission.capacityLoMah,
+                                     mission.capacityHiMah,
+                                     mission.capacityStepMah);
+    }
+    case QueryKind::Explore:
+        for (const explore::AxisSpec &axis :
+             request.explore.space.axes) {
+            if (axis.size() > kMaxAxisEntries)
+                return exceeds("an explore axis", kMaxAxisEntries);
+        }
+        if (request.explore.options.maxEvaluations >
+            kMaxExploreEvaluations)
+            return exceeds("max_evaluations", kMaxExploreEvaluations);
+        return "";
+    case QueryKind::Risk: {
+        const explore::RiskQuery &query = request.risk;
+        if (query.options.samples > kMaxRiskSamples)
+            return exceeds("samples", kMaxRiskSamples);
+        if (query.options.scatterReplicates > kMaxScatterReplicates)
+            return exceeds("scatter_replicates", kMaxScatterReplicates);
+        if (overAxisCap({query.gates.size(), query.quantiles.size()}))
+            return exceeds("gates/quantiles", kMaxAxisEntries);
+        return "";
+    }
+    }
+    return "";
+}
+
+/**
+ * The single-flight key: the canonical serialization without id and
+ * class, with pareto folded into sweep, so any two queries that
+ * compute the same thing share one run.
+ */
+std::string
+coalescingKey(Request request)
+{
+    request.id = 0;
+    request.cls = QueryClass::Interactive;
+    if (request.kind == QueryKind::Pareto)
+        request.kind = QueryKind::Sweep;
+    return serializeRequest(request);
 }
 
 } // namespace
 
-QueryPlanner::QueryPlanner(engine::SweepEngine &engine,
-                           PlannerLimits limits)
-    : engine_(engine), limits_(limits), codesign_(engine)
+QueryPlanner::QueryPlanner(engine::SweepEngine &engine)
+    : engine_(engine), codesign_(engine)
 {
 }
 
 bool
 QueryPlanner::validate(const Request &request, ErrorReply &err) const
 {
-    const auto check_board = [&](const ComputeBoardRecord &board) {
-        if (!finiteNonNegative(board.weightG) ||
-            !finiteNonNegative(board.powerW))
-            return invalid(err,
-                           "board weight/power must be finite and "
-                           ">= 0");
+    std::string violation = domainViolation(request);
+    if (violation.empty())
+        violation = serviceLimitViolation(request);
+    if (violation.empty())
         return true;
-    };
-    const auto check_cells = [&](int cells) {
-        if (cells < kMinCells || cells > kMaxCells)
-            return invalid(err,
-                           "cells must be in [" +
-                               std::to_string(kMinCells) + ", " +
-                               std::to_string(kMaxCells) + "]");
-        return true;
-    };
-    const auto check_twr = [&](double twr) {
-        if (!std::isfinite(twr) || twr < limits_.minTwr ||
-            twr > limits_.maxTwr)
-            return invalid(err, "twr out of accepted range");
-        return true;
-    };
-    const auto check_wheelbase = [&](Quantity<Millimeters> wb) {
-        if (!finitePositive(wb.value()) ||
-            wb.value() > limits_.maxWheelbaseMm.value())
-            return invalid(err, "wheelbase_mm out of accepted range");
-        return true;
-    };
-    const auto check_aux = [&](const char *what, double v) {
-        if (!finiteNonNegative(v))
-            return invalid(err, std::string(what) +
-                                    " must be finite and >= 0");
-        return true;
-    };
-
-    if (request.kind == QueryKind::Design) {
-        const DesignInputs &point = request.point;
-        if (!check_wheelbase(point.wheelbaseMm) ||
-            !check_cells(point.cells) || !check_twr(point.twr))
-            return false;
-        if (!finitePositive(point.capacityMah.value()))
-            return invalid(err, "capacity_mah must be > 0");
-        return check_aux("prop_diameter_in",
-                         point.propDiameterIn.value()) &&
-               check_board(point.compute) &&
-               check_aux("sensor_weight_g",
-                         point.sensorWeightG.value()) &&
-               check_aux("sensor_power_w",
-                         point.sensorPowerW.value()) &&
-               check_aux("payload_g", point.payloadG.value());
-    }
-
-    if (request.kind == QueryKind::Explore) {
-        const explore::ExploreQuery &query = request.explore;
-        // validateSpace owns the structural rules (arity, duplicate
-        // axes, lattice sanity); the planner adds service limits and
-        // the same physical-range checks a design point gets, so the
-        // driver's own fatal() guards can never fire on an admitted
-        // request.
-        const std::string space_err =
-            explore::validateSpace(query.space);
-        if (!space_err.empty())
-            return invalid(err, "explore space: " + space_err);
-        for (const explore::AxisSpec &axis : query.space.axes) {
-            if (axis.size() > limits_.maxAxisEntries)
-                return invalid(err,
-                               "explore axis exceeds max entries");
-            const double hi =
-                axis.lo +
-                axis.step * static_cast<double>(
-                                axis.count > 0 ? axis.count - 1 : 0);
-            switch (axis.kind) {
-            case explore::AxisKind::Wheelbase:
-                if (!check_wheelbase(Quantity<Millimeters>(axis.lo)) ||
-                    !check_wheelbase(Quantity<Millimeters>(hi)))
-                    return false;
-                break;
-            case explore::AxisKind::Capacity:
-                if (!finitePositive(axis.lo) || !finitePositive(hi))
-                    return invalid(err,
-                                   "capacity axis must stay > 0");
-                break;
-            case explore::AxisKind::Twr:
-                if (!check_twr(axis.lo) || !check_twr(hi))
-                    return false;
-                break;
-            case explore::AxisKind::Payload:
-                if (!check_aux("payload axis", axis.lo) ||
-                    !check_aux("payload axis", hi))
-                    return false;
-                break;
-            case explore::AxisKind::Board:
-                for (const ComputeBoardRecord &board : axis.boards) {
-                    if (!check_board(board))
-                        return false;
-                }
-                break;
-            case explore::AxisKind::Cells:
-            case explore::AxisKind::Activity:
-                break; // validateSpace / parser already own these.
-            }
-        }
-        // The base point fills every un-swept field; it must be as
-        // physical as a standalone design query.
-        const DesignInputs &base = query.space.base;
-        if (!check_wheelbase(base.wheelbaseMm) ||
-            !check_cells(base.cells) || !check_twr(base.twr))
-            return false;
-        if (!finitePositive(base.capacityMah.value()))
-            return invalid(err, "base capacity_mah must be > 0");
-        if (!check_aux("prop_diameter_in",
-                       base.propDiameterIn.value()) ||
-            !check_board(base.compute) ||
-            !check_aux("sensor_weight_g",
-                       base.sensorWeightG.value()) ||
-            !check_aux("sensor_power_w",
-                       base.sensorPowerW.value()) ||
-            !check_aux("payload_g", base.payloadG.value()))
-            return false;
-        const explore::ExploreOptions &opts = query.options;
-        if (opts.maxEvaluations == 0 ||
-            opts.maxEvaluations > limits_.maxExploreEvaluations)
-            return invalid(
-                err, "max_evaluations must be in [1, " +
-                         std::to_string(
-                             limits_.maxExploreEvaluations) +
-                         "]");
-        if (opts.initialSamples == 0)
-            return invalid(err, "initial_samples must be > 0");
-        if (opts.roundEvaluations == 0)
-            return invalid(err, "round_evaluations must be > 0");
-        return true;
-    }
-
-    if (request.kind == QueryKind::Risk) {
-        const explore::RiskQuery &query = request.risk;
-        const DesignInputs &point = query.point;
-        if (!check_wheelbase(point.wheelbaseMm) ||
-            !check_cells(point.cells) || !check_twr(point.twr))
-            return false;
-        if (!finitePositive(point.capacityMah.value()))
-            return invalid(err, "capacity_mah must be > 0");
-        if (!check_aux("prop_diameter_in",
-                       point.propDiameterIn.value()) ||
-            !check_board(point.compute) ||
-            !check_aux("sensor_weight_g",
-                       point.sensorWeightG.value()) ||
-            !check_aux("sensor_power_w",
-                       point.sensorPowerW.value()) ||
-            !check_aux("payload_g", point.payloadG.value()))
-            return false;
-        const explore::UncertaintyOptions &opts = query.options;
-        if (opts.samples == 0 ||
-            opts.samples > limits_.maxRiskSamples)
-            return invalid(
-                err, "samples must be in [1, " +
-                         std::to_string(limits_.maxRiskSamples) +
-                         "]");
-        if (opts.scatterReplicates < 2 ||
-            opts.scatterReplicates > limits_.maxScatterReplicates)
-            return invalid(
-                err, "scatter_replicates must be in [2, " +
-                         std::to_string(
-                             limits_.maxScatterReplicates) +
-                         "]");
-        if (query.gates.size() > limits_.maxAxisEntries ||
-            query.quantiles.size() > limits_.maxAxisEntries)
-            return invalid(err,
-                           "gates/quantiles exceed max entries");
-        for (const explore::GateSpec &gate : query.gates) {
-            if (!std::isfinite(gate.threshold))
-                return invalid(err,
-                               "gate threshold must be finite");
-            if (!std::isfinite(gate.minProbability) ||
-                gate.minProbability < 0.0 ||
-                gate.minProbability > 1.0)
-                return invalid(
-                    err, "gate min_probability must be in [0, 1]");
-        }
-        for (double q : query.quantiles) {
-            if (!std::isfinite(q) || q < 0.0 || q > 1.0)
-                return invalid(err,
-                               "quantiles must be in [0, 1]");
-        }
-        return true;
-    }
-
-    if (request.kind == QueryKind::Codesign) {
-        const codesign::MissionSpec &mission = request.mission;
-        if (!finitePositive(mission.targetRateHz))
-            return invalid(err, "target_rate_hz must be > 0");
-        if (mission.wheelbasesMm.empty() || mission.cells.empty())
-            return invalid(err,
-                           "mission wheelbases_mm and cells must "
-                           "be non-empty");
-        if (mission.wheelbasesMm.size() > limits_.maxAxisEntries ||
-            mission.cells.size() > limits_.maxAxisEntries)
-            return invalid(err, "mission axis exceeds max entries");
-        for (const Quantity<Millimeters> wb : mission.wheelbasesMm) {
-            if (!check_wheelbase(wb))
-                return false;
-        }
-        for (int cells : mission.cells) {
-            if (!check_cells(cells))
-                return false;
-        }
-        for (double ops : mission.perFrameOps) {
-            if (!finitePositive(ops))
-                return invalid(err,
-                               "per_frame_ops must be finite and "
-                               "> 0");
-        }
-        if (!finitePositive(mission.capacityLoMah.value()) ||
-            !finitePositive(mission.capacityHiMah.value()) ||
-            mission.capacityHiMah.value() <
-                mission.capacityLoMah.value())
-            return invalid(
-                err, "capacity range must satisfy 0 < lo <= hi");
-        if (!std::isfinite(mission.capacityStepMah.value()) ||
-            mission.capacityStepMah.value() <
-                limits_.minCapacityStepMah.value())
-            return invalid(err, "capacity_step_mah below minimum");
-        if (!check_aux("payload_g", mission.payloadG.value()))
-            return false;
-        // The compute-config axis is bounded by construction
-        // (platforms x splits x rate ladder), so capping the
-        // capacity axis bounds the whole expanded grid.
-        const double capacity_steps =
-            (mission.capacityHiMah.value() -
-             mission.capacityLoMah.value()) /
-            mission.capacityStepMah.value();
-        if (capacity_steps >
-            static_cast<double>(limits_.maxGridPoints))
-            return invalid(err,
-                           "capacity axis exceeds the grid cap");
-        return true;
-    }
-
-    const SweepSpec &spec = request.spec;
-    if (spec.airframes.empty() || spec.boards.empty() ||
-        spec.activities.empty() || spec.cells.empty())
-        return invalid(err,
-                       "spec axes (airframes, boards, activities, "
-                       "cells) must be non-empty");
-    if (spec.airframes.size() > limits_.maxAxisEntries ||
-        spec.boards.size() > limits_.maxAxisEntries ||
-        spec.activities.size() > limits_.maxAxisEntries ||
-        spec.cells.size() > limits_.maxAxisEntries)
-        return invalid(err, "spec axis exceeds max entries");
-    for (const SweepAirframe &airframe : spec.airframes) {
-        if (!check_wheelbase(airframe.wheelbaseMm) ||
-            !check_aux("prop_diameter_in",
-                       airframe.propDiameterIn.value()))
-            return false;
-    }
-    for (const ComputeBoardRecord &board : spec.boards) {
-        if (!check_board(board))
-            return false;
-    }
-    for (int cells : spec.cells) {
-        if (!check_cells(cells))
-            return false;
-    }
-    if (!check_twr(spec.twr))
-        return false;
-    if (!finitePositive(spec.capacityLoMah.value()) ||
-        !finitePositive(spec.capacityHiMah.value()) ||
-        spec.capacityHiMah.value() < spec.capacityLoMah.value())
-        return invalid(err,
-                       "capacity range must satisfy 0 < lo <= hi");
-    if (!std::isfinite(spec.capacityStepMah.value()) ||
-        spec.capacityStepMah.value() <
-            limits_.minCapacityStepMah.value())
-        return invalid(err, "capacity_step_mah below minimum");
-    if (!check_aux("sensor_weight_g", spec.sensorWeightG.value()) ||
-        !check_aux("sensor_power_w", spec.sensorPowerW.value()) ||
-        !check_aux("payload_g", spec.payloadG.value()))
-        return false;
-    // Bound the capacity axis analytically before pointCount()
-    // walks it — a hostile hi/step pair must not stall validation.
-    const double capacity_steps =
-        (spec.capacityHiMah.value() - spec.capacityLoMah.value()) /
-        spec.capacityStepMah.value();
-    if (capacity_steps > static_cast<double>(limits_.maxGridPoints))
-        return invalid(err, "capacity axis exceeds the grid cap");
-    if (spec.pointCount() > limits_.maxGridPoints)
-        return invalid(err,
-                       "grid expands to " +
-                           std::to_string(spec.pointCount()) +
-                           " points, cap is " +
-                           std::to_string(limits_.maxGridPoints));
-    return true;
+    err.code = ErrorCode::InvalidRequest;
+    err.message = std::move(violation);
+    return false;
 }
 
 template <typename T, typename MakeFn>
@@ -381,60 +215,6 @@ QueryPlanner::runSingleFlight(FlightTable<T> &table,
     return flight->value;
 }
 
-std::shared_ptr<engine::SweepResult>
-QueryPlanner::runCoalesced(const SweepSpec &spec)
-{
-    // The canonical spec serialization is the coalescing key: two
-    // requests whose specs serialize identically expand to the
-    // identical grid.
-    Request key_request;
-    key_request.kind = QueryKind::Sweep;
-    key_request.spec = spec;
-    return runSingleFlight(
-        inflight_, serializeRequest(key_request), "serve.batch",
-        [&] { return engine_.run(spec); });
-}
-
-std::shared_ptr<codesign::CodesignOutcome>
-QueryPlanner::runCodesignCoalesced(
-    const codesign::MissionSpec &mission)
-{
-    // Same key discipline: two codesign queries for byte-identical
-    // missions share one search.
-    Request key_request;
-    key_request.kind = QueryKind::Codesign;
-    key_request.mission = mission;
-    return runSingleFlight(
-        inflightCodesign_, serializeRequest(key_request),
-        "serve.codesign", [&] { return codesign_.run(mission); });
-}
-
-std::shared_ptr<explore::ExploreResult>
-QueryPlanner::runExploreCoalesced(const explore::ExploreQuery &query)
-{
-    // Byte-identical (space, options) pairs share one adaptive run.
-    Request key_request;
-    key_request.kind = QueryKind::Explore;
-    key_request.explore = query;
-    return runSingleFlight(
-        inflightExplore_, serializeRequest(key_request),
-        "serve.explore", [&] {
-            explore::AdaptiveDriver driver(engine_, query.options);
-            return driver.run(query.space);
-        });
-}
-
-std::shared_ptr<explore::RiskOutcome>
-QueryPlanner::runRiskCoalesced(const explore::RiskQuery &query)
-{
-    Request key_request;
-    key_request.kind = QueryKind::Risk;
-    key_request.risk = query;
-    return runSingleFlight(
-        inflightRisk_, serializeRequest(key_request), "serve.risk",
-        [&] { return explore::runRiskQuery(query); });
-}
-
 std::string
 QueryPlanner::execute(const Request &request)
 {
@@ -455,40 +235,49 @@ QueryPlanner::execute(const Request &request)
         reply = serializeDesignReply(request.id,
                                      engine_.solve(request.point));
         break;
-    case QueryKind::Sweep: {
-        const std::shared_ptr<engine::SweepResult> result =
-            runCoalesced(request.spec);
-        reply = serializeSweepReply(request.id, result->points,
-                                    result->feasible.size(),
-                                    result->frontier);
-        break;
-    }
+    case QueryKind::Sweep:
     case QueryKind::Pareto: {
         const std::shared_ptr<engine::SweepResult> result =
-            runCoalesced(request.spec);
-        reply = serializeParetoReply(request.id, result->points,
-                                     result->frontier);
+            runSingleFlight(inflight_, coalescingKey(request),
+                            "serve.batch",
+                            [&] { return engine_.run(request.spec); });
+        reply = request.kind == QueryKind::Sweep
+                    ? serializeSweepReply(request.id, result->points,
+                                          result->feasible.size(),
+                                          result->frontier)
+                    : serializeParetoReply(request.id, result->points,
+                                           result->frontier);
         break;
     }
-    case QueryKind::Codesign: {
-        const std::shared_ptr<codesign::CodesignOutcome> outcome =
-            runCodesignCoalesced(request.mission);
-        reply = serializeCodesignReply(request.id, *outcome);
+    case QueryKind::Codesign:
+        reply = serializeCodesignReply(
+            request.id,
+            *runSingleFlight(inflightCodesign_, coalescingKey(request),
+                             "serve.codesign", [&] {
+                                 return codesign_.run(request.mission);
+                             }));
         break;
-    }
-    case QueryKind::Explore: {
-        const std::shared_ptr<explore::ExploreResult> result =
-            runExploreCoalesced(request.explore);
-        reply = serializeExploreReply(request.id, *result);
+    case QueryKind::Explore:
+        reply = serializeExploreReply(
+            request.id,
+            *runSingleFlight(inflightExplore_, coalescingKey(request),
+                             "serve.explore", [&] {
+                                 explore::AdaptiveDriver driver(
+                                     engine_, request.explore.options);
+                                 return driver.run(
+                                     request.explore.space);
+                             }));
         break;
-    }
-    case QueryKind::Risk: {
-        const std::shared_ptr<explore::RiskOutcome> outcome =
-            runRiskCoalesced(request.risk);
-        reply = serializeRiskReply(request.id, *outcome,
-                                   request.risk.quantiles);
+    case QueryKind::Risk:
+        reply = serializeRiskReply(
+            request.id,
+            *runSingleFlight(inflightRisk_, coalescingKey(request),
+                             "serve.risk", [&] {
+                                 return explore::runRiskQuery(
+                                     request.risk);
+                             }),
+            request.risk.quantiles);
         break;
-    }
     }
     {
         util::MutexLock lock(mutex_);

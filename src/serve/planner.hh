@@ -3,9 +3,14 @@
  * QueryPlanner: validation and execution of admitted queries.
  *
  * Validation is the semantic half of request checking (the parser
- * owns types and spellings): axis values must be physical, cell
- * counts within the LiPo range, the capacity grid finite, and the
- * expanded grid under a hard point cap so one query cannot wedge
+ * owns types and spellings).  What is physical belongs to the
+ * domain layers: each request kind dispatches to its type's
+ * validator (`validateDesignInputs`, `validateSweepSpec`,
+ * `codesign::validateMission`, `explore::validateSpace` +
+ * `validateExploreOptions`, `explore::validateRiskQuery`).  The
+ * planner adds only constant service limits — grid points, axis
+ * entries, explore evaluations, risk samples and replicates, and
+ * the capacity step and axis length — so one query cannot wedge
  * the service.
  *
  * Execution routes through one shared `engine::SweepEngine`.
@@ -31,28 +36,6 @@
 
 namespace dronedse::serve {
 
-/** Hard bounds a valid query must respect. */
-struct PlannerLimits
-{
-    /** Max grid points one sweep/pareto query may expand to. */
-    std::size_t maxGridPoints = 200000;
-    /** Max entries per spec axis array. */
-    std::size_t maxAxisEntries = 256;
-    /** Max solver evaluations one explore query may budget. */
-    std::size_t maxExploreEvaluations = 100000;
-    /** Max Monte-Carlo samples one risk query may draw. */
-    std::size_t maxRiskSamples = 65536;
-    /** Max catalog replicates behind one risk query's scatter. */
-    int maxScatterReplicates = 4096;
-    /** Smallest accepted capacity step (mAh). */
-    Quantity<MilliampHours> minCapacityStepMah{1.0};
-    /** Largest accepted wheelbase (mm). */
-    Quantity<Millimeters> maxWheelbaseMm{2000.0};
-    /** Accepted TWR range. */
-    double minTwr = 1.0;
-    double maxTwr = 10.0;
-};
-
 /** Monotonic planner counters. */
 struct PlannerStats
 {
@@ -67,12 +50,12 @@ struct PlannerStats
 class QueryPlanner
 {
   public:
-    explicit QueryPlanner(engine::SweepEngine &engine,
-                          PlannerLimits limits = {});
+    explicit QueryPlanner(engine::SweepEngine &engine);
 
     /**
-     * Semantic validation; fills `err` (InvalidRequest) and returns
-     * false on violation.  Touches no engine state.
+     * The request kind's domain validator, then the service limits;
+     * fills `err` (InvalidRequest) and returns false on violation.
+     * Touches no engine state.
      */
     bool validate(const Request &request, ErrorReply &err) const;
 
@@ -121,27 +104,7 @@ class QueryPlanner
                                        MakeFn &&make)
         DDSE_EXCLUDES(mutex_);
 
-    /** Run a spec single-flight (see file comment). */
-    std::shared_ptr<engine::SweepResult>
-    runCoalesced(const SweepSpec &spec) DDSE_EXCLUDES(mutex_);
-
-    /** Run a mission single-flight, keyed the same way. */
-    std::shared_ptr<codesign::CodesignOutcome>
-    runCodesignCoalesced(const codesign::MissionSpec &mission)
-        DDSE_EXCLUDES(mutex_);
-
-    /** Run an adaptive exploration single-flight. */
-    std::shared_ptr<explore::ExploreResult>
-    runExploreCoalesced(const explore::ExploreQuery &query)
-        DDSE_EXCLUDES(mutex_);
-
-    /** Run a risk query single-flight. */
-    std::shared_ptr<explore::RiskOutcome>
-    runRiskCoalesced(const explore::RiskQuery &query)
-        DDSE_EXCLUDES(mutex_);
-
     engine::SweepEngine &engine_;
-    PlannerLimits limits_;
     codesign::CodesignDriver codesign_;
 
     mutable util::Mutex mutex_;

@@ -37,6 +37,44 @@ readDouble(const JsonValue &obj, const char *key, double &out,
     return true;
 }
 
+/** Append `fn(v)` for each of `values`, comma-separated. */
+template <typename Values, typename Fn>
+void
+appendJoined(std::string &out, const Values &values, Fn &&fn)
+{
+    bool first = true;
+    for (const auto &v : values) {
+        if (!first)
+            out += ", ";
+        first = false;
+        out += fn(v);
+    }
+}
+
+/** `readDouble` into a typed quantity. */
+template <typename U>
+bool
+readDouble(const JsonValue &obj, const char *key, Quantity<U> &out,
+           ErrorReply &err)
+{
+    double v = out.value();
+    if (!readDouble(obj, key, v, err))
+        return false;
+    out = Quantity<U>(v);
+    return true;
+}
+
+/** An integral number within +-1e9, so the cast to int is defined. */
+bool
+asInt(const JsonValue &value, int &out)
+{
+    const double v = value.asNumber();
+    if (std::floor(v) != v || v < -1e9 || v > 1e9)
+        return false;
+    out = static_cast<int>(v);
+    return true;
+}
+
 bool
 readInt(const JsonValue &obj, const char *key, int &out,
         ErrorReply &err)
@@ -46,10 +84,23 @@ readInt(const JsonValue &obj, const char *key, int &out,
         return true;
     if (!value->isNumber())
         return invalid(err, std::string(key) + " must be a number");
-    const double v = value->asNumber();
-    if (std::floor(v) != v || v < -1e9 || v > 1e9)
+    if (!asInt(*value, out))
         return invalid(err, std::string(key) + " must be an integer");
-    out = static_cast<int>(v);
+    return true;
+}
+
+/** Replace `out` with the array's entries, each read by `asInt`. */
+bool
+readIntArray(const JsonValue &array, std::vector<int> &out,
+             const char *entry_error, ErrorReply &err)
+{
+    out.clear();
+    for (const JsonValue &entry : array.items()) {
+        int v = 0;
+        if (!entry.isNumber() || !asInt(entry, v))
+            return invalid(err, entry_error);
+        out.push_back(v);
+    }
     return true;
 }
 
@@ -201,23 +252,19 @@ parsePoint(const JsonValue &value, DesignInputs &out, ErrorReply &err)
 {
     if (!value.isObject())
         return invalid(err, "point must be an object");
-    double wheelbase = out.wheelbaseMm.value();
-    double capacity = out.capacityMah.value();
-    double prop = out.propDiameterIn.value();
-    double sensor_weight = out.sensorWeightG.value();
-    double sensor_power = out.sensorPowerW.value();
-    double payload = out.payloadG.value();
     std::string esc_name;
     std::string activity_name_in;
-    if (!readDouble(value, "wheelbase_mm", wheelbase, err) ||
+    if (!readDouble(value, "wheelbase_mm", out.wheelbaseMm, err) ||
         !readInt(value, "cells", out.cells, err) ||
-        !readDouble(value, "capacity_mah", capacity, err) ||
+        !readDouble(value, "capacity_mah", out.capacityMah, err) ||
         !readDouble(value, "twr", out.twr, err) ||
-        !readDouble(value, "prop_diameter_in", prop, err) ||
+        !readDouble(value, "prop_diameter_in", out.propDiameterIn,
+                    err) ||
         !readString(value, "esc_class", esc_name, err) ||
-        !readDouble(value, "sensor_weight_g", sensor_weight, err) ||
-        !readDouble(value, "sensor_power_w", sensor_power, err) ||
-        !readDouble(value, "payload_g", payload, err) ||
+        !readDouble(value, "sensor_weight_g", out.sensorWeightG,
+                    err) ||
+        !readDouble(value, "sensor_power_w", out.sensorPowerW, err) ||
+        !readDouble(value, "payload_g", out.payloadG, err) ||
         !readString(value, "activity", activity_name_in, err))
         return false;
     if (!esc_name.empty() &&
@@ -230,12 +277,6 @@ parsePoint(const JsonValue &value, DesignInputs &out, ErrorReply &err)
         if (!parseBoard(*board, out.compute, err))
             return false;
     }
-    out.wheelbaseMm = Quantity<Millimeters>(wheelbase);
-    out.capacityMah = Quantity<MilliampHours>(capacity);
-    out.propDiameterIn = Quantity<Inches>(prop);
-    out.sensorWeightG = Quantity<Grams>(sensor_weight);
-    out.sensorPowerW = Quantity<Watts>(sensor_power);
-    out.payloadG = Quantity<Grams>(payload);
     return true;
 }
 
@@ -278,14 +319,13 @@ parseSpec(const JsonValue &value, SweepSpec &out, ErrorReply &err)
             if (!entry.isObject())
                 return invalid(err,
                                "airframes entries must be objects");
-            double wheelbase = 450.0;
-            double prop = 0.0;
-            if (!readDouble(entry, "wheelbase_mm", wheelbase, err) ||
-                !readDouble(entry, "prop_diameter_in", prop, err))
+            SweepAirframe airframe;
+            if (!readDouble(entry, "wheelbase_mm", airframe.wheelbaseMm,
+                            err) ||
+                !readDouble(entry, "prop_diameter_in",
+                            airframe.propDiameterIn, err))
                 return false;
-            out.airframes.push_back(
-                SweepAirframe{Quantity<Millimeters>(wheelbase),
-                              Quantity<Inches>(prop)});
+            out.airframes.push_back(airframe);
         }
     }
     if (const JsonValue *boards = value.find("boards")) {
@@ -316,40 +356,25 @@ parseSpec(const JsonValue &value, SweepSpec &out, ErrorReply &err)
     if (const JsonValue *cells = value.find("cells")) {
         if (!cells->isArray())
             return invalid(err, "cells must be an array");
-        out.cells.clear();
-        for (const JsonValue &entry : cells->items()) {
-            if (!entry.isNumber() ||
-                std::floor(entry.asNumber()) != entry.asNumber())
-                return invalid(err,
-                               "cells entries must be integers");
-            out.cells.push_back(static_cast<int>(entry.asNumber()));
-        }
+        if (!readIntArray(*cells, out.cells,
+                          "cells entries must be integers", err))
+            return false;
     }
-    double lo = out.capacityLoMah.value();
-    double hi = out.capacityHiMah.value();
-    double step = out.capacityStepMah.value();
-    double sensor_weight = out.sensorWeightG.value();
-    double sensor_power = out.sensorPowerW.value();
-    double payload = out.payloadG.value();
     std::string esc_name;
-    if (!readDouble(value, "capacity_lo_mah", lo, err) ||
-        !readDouble(value, "capacity_hi_mah", hi, err) ||
-        !readDouble(value, "capacity_step_mah", step, err) ||
+    if (!readDouble(value, "capacity_lo_mah", out.capacityLoMah, err) ||
+        !readDouble(value, "capacity_hi_mah", out.capacityHiMah, err) ||
+        !readDouble(value, "capacity_step_mah", out.capacityStepMah,
+                    err) ||
         !readDouble(value, "twr", out.twr, err) ||
         !readString(value, "esc_class", esc_name, err) ||
-        !readDouble(value, "sensor_weight_g", sensor_weight, err) ||
-        !readDouble(value, "sensor_power_w", sensor_power, err) ||
-        !readDouble(value, "payload_g", payload, err))
+        !readDouble(value, "sensor_weight_g", out.sensorWeightG,
+                    err) ||
+        !readDouble(value, "sensor_power_w", out.sensorPowerW, err) ||
+        !readDouble(value, "payload_g", out.payloadG, err))
         return false;
     if (!esc_name.empty() &&
         !parseEscClass(esc_name, out.escClass, err))
         return false;
-    out.capacityLoMah = Quantity<MilliampHours>(lo);
-    out.capacityHiMah = Quantity<MilliampHours>(hi);
-    out.capacityStepMah = Quantity<MilliampHours>(step);
-    out.sensorWeightG = Quantity<Grams>(sensor_weight);
-    out.sensorPowerW = Quantity<Watts>(sensor_power);
-    out.payloadG = Quantity<Grams>(payload);
     return true;
 }
 
@@ -357,33 +382,20 @@ std::string
 serializeSpec(const SweepSpec &spec)
 {
     std::string out = "{\"airframes\": [";
-    for (std::size_t i = 0; i < spec.airframes.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += "{\"wheelbase_mm\": " +
-               jsonNumber(spec.airframes[i].wheelbaseMm.value());
-        out += ", \"prop_diameter_in\": " +
-               jsonNumber(spec.airframes[i].propDiameterIn.value());
-        out += "}";
-    }
+    appendJoined(out, spec.airframes, [](const SweepAirframe &a) {
+        return "{\"wheelbase_mm\": " + jsonNumber(a.wheelbaseMm.value()) +
+               ", \"prop_diameter_in\": " +
+               jsonNumber(a.propDiameterIn.value()) + "}";
+    });
     out += "], \"boards\": [";
-    for (std::size_t i = 0; i < spec.boards.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += serializeBoard(spec.boards[i]);
-    }
+    appendJoined(out, spec.boards,
+                 [](const auto &v) { return serializeBoard(v); });
     out += "], \"activities\": [";
-    for (std::size_t i = 0; i < spec.activities.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += jsonQuote(activityName(spec.activities[i]));
-    }
+    appendJoined(out, spec.activities,
+                 [](const auto &v) { return jsonQuote(activityName(v)); });
     out += "], \"cells\": [";
-    for (std::size_t i = 0; i < spec.cells.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += std::to_string(spec.cells[i]);
-    }
+    appendJoined(out, spec.cells,
+                 [](const auto &v) { return std::to_string(v); });
     out += "], \"capacity_lo_mah\": " +
            jsonNumber(spec.capacityLoMah.value());
     out += ", \"capacity_hi_mah\": " +
@@ -438,17 +450,14 @@ parseMission(const JsonValue &value, codesign::MissionSpec &out,
     if (!value.isObject())
         return invalid(err, "mission must be an object");
     std::string activity_name_in;
-    double lo = out.capacityLoMah.value();
-    double hi = out.capacityHiMah.value();
-    double step = out.capacityStepMah.value();
-    double payload = out.payloadG.value();
     if (!readString(value, "name", out.name, err) ||
         !readDouble(value, "target_rate_hz", out.targetRateHz,
                     err) ||
-        !readDouble(value, "capacity_lo_mah", lo, err) ||
-        !readDouble(value, "capacity_hi_mah", hi, err) ||
-        !readDouble(value, "capacity_step_mah", step, err) ||
-        !readDouble(value, "payload_g", payload, err) ||
+        !readDouble(value, "capacity_lo_mah", out.capacityLoMah, err) ||
+        !readDouble(value, "capacity_hi_mah", out.capacityHiMah, err) ||
+        !readDouble(value, "capacity_step_mah", out.capacityStepMah,
+                    err) ||
+        !readDouble(value, "payload_g", out.payloadG, err) ||
         !readString(value, "activity", activity_name_in, err))
         return false;
     if (!activity_name_in.empty() &&
@@ -484,19 +493,10 @@ parseMission(const JsonValue &value, codesign::MissionSpec &out,
     if (const JsonValue *cells = value.find("cells")) {
         if (!cells->isArray())
             return invalid(err, "cells must be an array");
-        out.cells.clear();
-        for (const JsonValue &entry : cells->items()) {
-            if (!entry.isNumber() ||
-                std::floor(entry.asNumber()) != entry.asNumber())
-                return invalid(err,
-                               "cells entries must be integers");
-            out.cells.push_back(static_cast<int>(entry.asNumber()));
-        }
+        if (!readIntArray(*cells, out.cells,
+                          "cells entries must be integers", err))
+            return false;
     }
-    out.capacityLoMah = Quantity<MilliampHours>(lo);
-    out.capacityHiMah = Quantity<MilliampHours>(hi);
-    out.capacityStepMah = Quantity<MilliampHours>(step);
-    out.payloadG = Quantity<Grams>(payload);
     return true;
 }
 
@@ -508,23 +508,14 @@ serializeMission(const codesign::MissionSpec &mission)
     out += ", \"target_rate_hz\": " +
            jsonNumber(mission.targetRateHz);
     out += ", \"per_frame_ops\": [";
-    for (std::size_t i = 0; i < mission.perFrameOps.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += jsonNumber(mission.perFrameOps[i]);
-    }
+    appendJoined(out, mission.perFrameOps,
+                 [](const auto &v) { return jsonNumber(v); });
     out += "], \"wheelbases_mm\": [";
-    for (std::size_t i = 0; i < mission.wheelbasesMm.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += jsonNumber(mission.wheelbasesMm[i].value());
-    }
+    appendJoined(out, mission.wheelbasesMm,
+                 [](const auto &v) { return jsonNumber(v.value()); });
     out += "], \"cells\": [";
-    for (std::size_t i = 0; i < mission.cells.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += std::to_string(mission.cells[i]);
-    }
+    appendJoined(out, mission.cells,
+                 [](const auto &v) { return std::to_string(v); });
     out += "], \"capacity_lo_mah\": " +
            jsonNumber(mission.capacityLoMah.value());
     out += ", \"capacity_hi_mah\": " +
@@ -564,15 +555,8 @@ parseAxis(const JsonValue &value, explore::AxisSpec &out,
         const JsonValue *values = value.find("values");
         if (!values || !values->isArray())
             return invalid(err, "cells axis requires a values array");
-        out.cells.clear();
-        for (const JsonValue &entry : values->items()) {
-            if (!entry.isNumber() ||
-                std::floor(entry.asNumber()) != entry.asNumber())
-                return invalid(
-                    err, "cells axis values must be integers");
-            out.cells.push_back(static_cast<int>(entry.asNumber()));
-        }
-        return true;
+        return readIntArray(*values, out.cells,
+                            "cells axis values must be integers", err);
     }
     case explore::AxisKind::Board: {
         const JsonValue *boards = value.find("boards");
@@ -622,29 +606,20 @@ serializeAxis(const explore::AxisSpec &axis)
     switch (axis.kind) {
     case explore::AxisKind::Cells:
         out += ", \"values\": [";
-        for (std::size_t i = 0; i < axis.cells.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += std::to_string(axis.cells[i]);
-        }
+        appendJoined(out, axis.cells,
+                     [](const auto &v) { return std::to_string(v); });
         out += "]";
         break;
     case explore::AxisKind::Board:
         out += ", \"boards\": [";
-        for (std::size_t i = 0; i < axis.boards.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += serializeBoard(axis.boards[i]);
-        }
+        appendJoined(out, axis.boards,
+                     [](const auto &v) { return serializeBoard(v); });
         out += "]";
         break;
     case explore::AxisKind::Activity:
         out += ", \"values\": [";
-        for (std::size_t i = 0; i < axis.activities.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += jsonQuote(activityName(axis.activities[i]));
-        }
+        appendJoined(out, axis.activities,
+                     [](const auto &v) { return jsonQuote(activityName(v)); });
         out += "]";
         break;
     default:
@@ -685,11 +660,8 @@ serializeSpace(const explore::ExploreSpace &space)
 {
     std::string out = "{\"base\": " + serializePoint(space.base);
     out += ", \"axes\": [";
-    for (std::size_t i = 0; i < space.axes.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += serializeAxis(space.axes[i]);
-    }
+    appendJoined(out, space.axes,
+                 [](const auto &v) { return serializeAxis(v); });
     out += "]}";
     return out;
 }
@@ -1031,18 +1003,11 @@ serializeRequest(const Request &request)
         out += ", \"options\": " +
                serializeUncertaintyOptions(request.risk.options);
         out += ", \"gates\": [";
-        for (std::size_t i = 0; i < request.risk.gates.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += serializeGate(request.risk.gates[i]);
-        }
+        appendJoined(out, request.risk.gates,
+                     [](const auto &v) { return serializeGate(v); });
         out += "], \"quantiles\": [";
-        for (std::size_t i = 0; i < request.risk.quantiles.size();
-             ++i) {
-            if (i > 0)
-                out += ", ";
-            out += jsonNumber(request.risk.quantiles[i]);
-        }
+        appendJoined(out, request.risk.quantiles,
+                     [](const auto &v) { return jsonNumber(v); });
         out += "]";
     } else
         out += ", \"spec\": " + serializeSpec(request.spec);
@@ -1078,17 +1043,11 @@ serializeSweepReply(std::uint64_t id,
     out += ", \"grid_points\": " + std::to_string(points.size());
     out += ", \"feasible_count\": " + std::to_string(feasible_count);
     out += ", \"frontier\": [";
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += std::to_string(frontier[i]);
-    }
+    appendJoined(out, frontier,
+                 [](const auto &v) { return std::to_string(v); });
     out += "], \"results\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += serializeResult(points[i]);
-    }
+    appendJoined(out, points,
+                 [](const auto &v) { return serializeResult(v); });
     out += "]}";
     return out;
 }
@@ -1105,24 +1064,14 @@ serializeCodesignReply(std::uint64_t id,
     out += ", \"recommended\": " +
            serializeChoice(outcome.recommended);
     out += ", \"per_platform\": [";
-    for (std::size_t i = 0; i < outcome.perPlatform.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += serializeChoice(outcome.perPlatform[i]);
-    }
+    appendJoined(out, outcome.perPlatform,
+                 [](const auto &v) { return serializeChoice(v); });
     out += "], \"per_split\": [";
-    for (std::size_t i = 0; i < outcome.perSplit.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += serializeChoice(outcome.perSplit[i]);
-    }
+    appendJoined(out, outcome.perSplit,
+                 [](const auto &v) { return serializeChoice(v); });
     out += "], \"best_sustained_fps\": [";
-    for (std::size_t i = 0; i < outcome.bestSustainedFps.size();
-         ++i) {
-        if (i > 0)
-            out += ", ";
-        out += jsonNumber(outcome.bestSustainedFps[i]);
-    }
+    appendJoined(out, outcome.bestSustainedFps,
+                 [](const auto &v) { return jsonNumber(v); });
     out += "]}";
     return out;
 }
@@ -1139,22 +1088,17 @@ serializeExploreReply(std::uint64_t id,
     out += ", \"rounds\": " + std::to_string(result.rounds.size());
     out += result.converged ? ", \"converged\": true"
                             : ", \"converged\": false";
+    const auto evaluated = [&](std::size_t i) {
+        const DesignResult &res = result.points[i];
+        return "{\"point\": " + serializePoint(res.inputs) +
+               ", \"result\": " + serializeResult(res) + "}";
+    };
     out += ", \"frontier\": [";
-    for (std::size_t i = 0; i < result.frontier.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        const DesignResult &res = result.points[result.frontier[i]];
-        out += "{\"point\": " + serializePoint(res.inputs);
-        out += ", \"result\": " + serializeResult(res) + "}";
-    }
+    appendJoined(out, result.frontier, evaluated);
     out += "], \"incumbent\": ";
-    if (result.incumbent < result.points.size()) {
-        const DesignResult &best = result.points[result.incumbent];
-        out += "{\"point\": " + serializePoint(best.inputs);
-        out += ", \"result\": " + serializeResult(best) + "}";
-    } else {
-        out += "null";
-    }
+    out += result.incumbent < result.points.size()
+               ? evaluated(result.incumbent)
+               : std::string("null");
     out += "}";
     return out;
 }
@@ -1173,16 +1117,15 @@ serializeRiskReply(std::uint64_t id,
     out += ", \"feasible_fraction\": " +
            jsonNumber(unc.feasibleFraction());
     out += ", \"gates\": [";
-    for (std::size_t i = 0; i < outcome.report.gates.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        const explore::GateOutcome &gate = outcome.report.gates[i];
-        std::string entry = serializeGate(gate.spec);
-        entry.pop_back(); // reopen the gate object
-        entry += ", \"probability\": " + jsonNumber(gate.probability);
-        entry += gate.pass ? ", \"pass\": true}" : ", \"pass\": false}";
-        out += entry;
-    }
+    appendJoined(out, outcome.report.gates,
+                 [](const explore::GateOutcome &gate) {
+                     std::string entry = serializeGate(gate.spec);
+                     entry.pop_back(); // reopen the gate object
+                     entry += ", \"probability\": " +
+                              jsonNumber(gate.probability);
+                     return entry + (gate.pass ? ", \"pass\": true}"
+                                               : ", \"pass\": false}");
+                 });
     out += outcome.report.allPass ? "], \"all_pass\": true"
                                   : "], \"all_pass\": false";
     // Quantiles read off the feasible-sample ECDFs; with nothing
@@ -1190,18 +1133,12 @@ serializeRiskReply(std::uint64_t id,
     // empty regardless of what was requested.
     out += ", \"quantiles\": [";
     if (!unc.flightTimeMin.empty()) {
-        for (std::size_t i = 0; i < quantiles.size(); ++i) {
-            if (i > 0)
-                out += ", ";
-            out += "{\"q\": " + jsonNumber(quantiles[i]);
-            out += ", \"flight_time_min\": " +
-                   jsonNumber(unc.flightTimeMin.quantile(
-                       quantiles[i]));
-            out += ", \"total_weight_g\": " +
-                   jsonNumber(
-                       unc.totalWeightG.quantile(quantiles[i]));
-            out += "}";
-        }
+        appendJoined(out, quantiles, [&](double q) {
+            return "{\"q\": " + jsonNumber(q) + ", \"flight_time_min\": " +
+                   jsonNumber(unc.flightTimeMin.quantile(q)) +
+                   ", \"total_weight_g\": " +
+                   jsonNumber(unc.totalWeightG.quantile(q)) + "}";
+        });
     }
     out += "]}";
     return out;
@@ -1215,17 +1152,11 @@ serializeParetoReply(std::uint64_t id,
     std::string out = replyHead(id, true, "pareto");
     out += ", \"grid_points\": " + std::to_string(points.size());
     out += ", \"frontier\": [";
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += std::to_string(frontier[i]);
-    }
+    appendJoined(out, frontier,
+                 [](const auto &v) { return std::to_string(v); });
     out += "], \"results\": [";
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-        if (i > 0)
-            out += ", ";
-        out += serializeResult(points[frontier[i]]);
-    }
+    appendJoined(out, frontier,
+                 [&](std::size_t v) { return serializeResult(points[v]); });
     out += "]}";
     return out;
 }

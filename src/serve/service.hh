@@ -11,6 +11,7 @@
  * Two entry styles:
  *  - `handleFrame(frame, t)`: the synchronous path — size check,
  *    parse, admission (zero queue wait), execute, one reply frame.
+ *    Safe for concurrent callers: each runs the request it parsed.
  *  - `ingest(frame, conn, t)` + `processOne(t, ...)`: the queued
  *    path transports use — ingest replies immediately on any
  *    rejection and queues admitted work; workers drain with
@@ -35,7 +36,6 @@ namespace dronedse::serve {
 struct ServiceOptions
 {
     engine::EngineOptions engine;
-    PlannerLimits limits;
     AdmissionConfig admission;
     /** Frames longer than this are answered with `too_large`. */
     std::size_t maxFrameBytes = 1 << 20;
@@ -83,6 +83,14 @@ class Service
     const ServiceOptions &options() const { return options_; }
 
   private:
+    /**
+     * Size check, parse, admission.  False leaves the error frame in
+     * `reply`; an admitted request is queued tagged with `conn` when
+     * `enqueue`, else left in `request` for the caller to run.
+     */
+    bool admit(const std::string &frame, std::uint64_t conn, double t,
+               bool enqueue, Request &request, std::string &reply);
+
     ServiceOptions options_;
     engine::SweepEngine engine_;
     QueryPlanner planner_;

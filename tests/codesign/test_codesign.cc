@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <string>
 
 #include "engine/engine.hh"
@@ -203,4 +204,49 @@ TEST(Codesign, SplitNamesRoundTrip)
     }
     OffloadSplit parsed = OffloadSplit::HostOnly;
     EXPECT_FALSE(parseOffloadSplit("gpu_only", parsed));
+}
+
+TEST(ValidateMission, DefaultIsValidAndEachRuleRejects)
+{
+    const MissionSpec valid;
+    EXPECT_EQ(validateMission(valid), "");
+    for (const MissionSpec &mission : paperMissionCatalog())
+        EXPECT_EQ(validateMission(mission), "") << mission.name;
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto rejects = [&](const char *field, auto mutate) {
+        MissionSpec mission = valid;
+        mutate(mission);
+        const std::string err = validateMission(mission);
+        EXPECT_NE(err.find(field), std::string::npos)
+            << field << " -> '" << err << "'";
+    };
+    rejects("targetRateHz", [](MissionSpec &m) { m.targetRateHz = 0.0; });
+    rejects("targetRateHz",
+            [&](MissionSpec &m) { m.targetRateHz = nan; });
+    rejects("perFrameOps",
+            [](MissionSpec &m) { m.perFrameOps[0] = -1.0; });
+    // The grid rules are validateSweepSpec's, and through it
+    // validateDesignInputs'.
+    rejects("airframes", [](MissionSpec &m) { m.wheelbasesMm.clear(); });
+    rejects("cells", [](MissionSpec &m) { m.cells.clear(); });
+    rejects("wheelbaseMm", [](MissionSpec &m) {
+        m.wheelbasesMm.push_back(Quantity<Millimeters>(-450.0));
+    });
+    rejects("cells", [](MissionSpec &m) { m.cells.push_back(0); });
+    rejects("capacityMah", [](MissionSpec &m) {
+        m.capacityLoMah = Quantity<MilliampHours>(0.0);
+    });
+    rejects("capacityHiMah", [](MissionSpec &m) {
+        m.capacityHiMah = Quantity<MilliampHours>(1000.0);
+    });
+    rejects("capacityStepMah", [](MissionSpec &m) {
+        m.capacityStepMah = Quantity<MilliampHours>(0.0);
+    });
+    rejects("capacityStepMah", [](MissionSpec &m) {
+        m.capacityLoMah = Quantity<MilliampHours>(1e300);
+        m.capacityHiMah = Quantity<MilliampHours>(1e300);
+    });
+    rejects("payloadG",
+            [](MissionSpec &m) { m.payloadG = Quantity<Grams>(-1.0); });
 }

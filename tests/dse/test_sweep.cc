@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "components/compute_board.hh"
 #include "dse/sweep.hh"
 
@@ -131,6 +135,135 @@ INSTANTIATE_TEST_SUITE_P(Classes, BestPerClass,
                          testing::Values(SizeClass::Small,
                                          SizeClass::Medium,
                                          SizeClass::Large));
+
+
+// --- domain validators --------------------------------------------
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/**
+ * Apply `mutate` to a copy of `valid`, run `validate`, and expect a
+ * rejection whose message names `field`.
+ */
+template <typename T, typename Validate, typename Mutate>
+void
+expectRejects(const T &valid, Validate validate, const char *field,
+              Mutate mutate)
+{
+    T value = valid;
+    mutate(value);
+    const std::string err = validate(value);
+    EXPECT_NE(err.find(field), std::string::npos)
+        << field << " -> '" << err << "'";
+}
+
+TEST(ValidateDesignInputs, DefaultIsValidAndEachRuleRejects)
+{
+    const DesignInputs valid;
+    EXPECT_EQ(validateDesignInputs(valid), "");
+
+    // The envelope edges themselves are inside.
+    DesignInputs edge;
+    edge.wheelbaseMm = kMaxWheelbase;
+    edge.twr = kMinTwr;
+    edge.cells = kMinCells;
+    EXPECT_EQ(validateDesignInputs(edge), "");
+    edge.twr = kMaxTwr;
+    edge.cells = kMaxCells;
+    EXPECT_EQ(validateDesignInputs(edge), "");
+
+    using In = DesignInputs;
+    const auto rejects = [&](const char *field, auto mutate) {
+        expectRejects(valid, validateDesignInputs, field, mutate);
+    };
+    rejects("wheelbaseMm", [](In &in) { in.wheelbaseMm = 0.0_mm; });
+    rejects("wheelbaseMm",
+            [](In &in) { in.wheelbaseMm = kMaxWheelbase + 1.0_mm; });
+    rejects("wheelbaseMm", [](In &in) {
+        in.wheelbaseMm = Quantity<Millimeters>(kNaN);
+    });
+    rejects("cells", [](In &in) { in.cells = kMinCells - 1; });
+    rejects("cells", [](In &in) { in.cells = kMaxCells + 1; });
+    rejects("twr", [](In &in) { in.twr = 0.99; });
+    rejects("twr", [](In &in) { in.twr = 10.01; });
+    rejects("twr", [](In &in) { in.twr = kNaN; });
+    rejects("capacityMah", [](In &in) { in.capacityMah = 0.0_mah; });
+    rejects("capacityMah", [](In &in) {
+        in.capacityMah = Quantity<MilliampHours>(kInf);
+    });
+    rejects("propDiameterIn",
+            [](In &in) { in.propDiameterIn = -1.0_in; });
+    rejects("compute", [](In &in) { in.compute.weightG = -1.0; });
+    rejects("compute", [](In &in) { in.compute.powerW = kNaN; });
+    rejects("sensorWeightG", [](In &in) { in.sensorWeightG = -1.0_g; });
+    rejects("sensorPowerW", [](In &in) {
+        in.sensorPowerW = Quantity<Watts>(kInf);
+    });
+    rejects("payloadG", [](In &in) { in.payloadG = -1.0_g; });
+}
+
+TEST(ValidateSweepSpec, DefaultIsValidAndEachRuleRejects)
+{
+    SweepSpec valid;
+    valid.boards = {basicChip3W()};
+    valid.cells = {3, 4};
+    EXPECT_EQ(validateSweepSpec(valid), "");
+    EXPECT_EQ(validateSweepSpec(classSweepSpec(
+                  classSpec(SizeClass::Small), {1, 6}, 250.0_mah,
+                  basicChip3W())),
+              "");
+
+    const auto rejects = [&](const char *field, auto mutate) {
+        expectRejects(valid, validateSweepSpec, field, mutate);
+    };
+    rejects("airframes", [](SweepSpec &s) { s.airframes.clear(); });
+    rejects("boards", [](SweepSpec &s) { s.boards.clear(); });
+    rejects("activities", [](SweepSpec &s) { s.activities.clear(); });
+    rejects("cells", [](SweepSpec &s) { s.cells.clear(); });
+    rejects("capacityStepMah",
+            [](SweepSpec &s) { s.capacityStepMah = 0.0_mah; });
+    rejects("capacityStepMah", [](SweepSpec &s) {
+        s.capacityStepMah = Quantity<MilliampHours>(kNaN);
+    });
+    rejects("capacityHiMah",
+            [](SweepSpec &s) { s.capacityHiMah = 500.0_mah; });
+    // At 1e300 mAh a 1000 mAh step is absorbed: the axis loop would
+    // never advance.
+    rejects("too small to advance", [](SweepSpec &s) {
+        s.capacityLoMah = s.capacityHiMah = 1e300_mah;
+        s.capacityStepMah = 1000.0_mah;
+    });
+    // Every axis value goes through validateDesignInputs.
+    rejects("wheelbaseMm", [](SweepSpec &s) {
+        s.airframes.push_back({3000.0_mm, 0.0_in});
+    });
+    rejects("propDiameterIn", [](SweepSpec &s) {
+        s.airframes.push_back({450.0_mm, -5.0_in});
+    });
+    rejects("compute", [](SweepSpec &s) {
+        s.boards.push_back(
+            ComputeBoardRecord{"bad", BoardClass::Basic, kNaN, 3.0});
+    });
+    rejects("cells", [](SweepSpec &s) { s.cells.push_back(7); });
+    rejects("capacityMah",
+            [](SweepSpec &s) { s.capacityLoMah = 0.0_mah; });
+    rejects("twr", [](SweepSpec &s) { s.twr = 11.0; });
+    rejects("sensorWeightG",
+            [](SweepSpec &s) { s.sensorWeightG = -1.0_g; });
+    rejects("sensorPowerW",
+            [](SweepSpec &s) { s.sensorPowerW = -1.0_w; });
+    rejects("payloadG", [](SweepSpec &s) { s.payloadG = -1.0_g; });
+}
+
+TEST(ValidateSweepSpec, ExpandGridGuardReportsTheValidatorMessage)
+{
+    SweepSpec spec;
+    spec.boards = {basicChip3W()};
+    spec.twr = 11.0;
+    EXPECT_EXIT((void)expandGrid(spec), testing::ExitedWithCode(1),
+                "expandGrid: twr must be in \\[1, 10\\]");
+}
 
 } // namespace
 } // namespace dronedse

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -244,6 +245,99 @@ TEST(AdaptiveDriver, RejectsInvalidSpaceAndOptions)
     AdaptiveDriver driver(eng, options);
     ExploreSpace empty;
     EXPECT_DEATH((void)driver.run(empty), "at least one axis");
+}
+
+
+TEST(ValidateExploreOptions, DefaultIsValidAndEachRuleRejects)
+{
+    EXPECT_EQ(validateExploreOptions(ExploreOptions{}), "");
+    ExploreOptions options;
+    options.maxEvaluations = 0;
+    EXPECT_EQ(validateExploreOptions(options),
+              "maxEvaluations must be positive");
+    options = ExploreOptions{};
+    options.initialSamples = 0;
+    EXPECT_EQ(validateExploreOptions(options),
+              "initialSamples must be positive");
+    options = ExploreOptions{};
+    options.roundEvaluations = 0;
+    EXPECT_EQ(validateExploreOptions(options),
+              "roundEvaluations must be positive");
+}
+
+TEST(ValidateExploreOptions, DriverGuardReportsTheValidatorMessage)
+{
+    SweepEngine eng{EngineOptions{.threads = 1}};
+    ExploreOptions options;
+    options.maxEvaluations = 0;
+    const std::string message = validateExploreOptions(options);
+    ASSERT_FALSE(message.empty());
+    EXPECT_EXIT(AdaptiveDriver(eng, options),
+                testing::ExitedWithCode(1),
+                "fatal: AdaptiveDriver: " + message);
+}
+
+TEST(ValidateSpace, BaseAndEveryAxisValueMustBePhysical)
+{
+    EXPECT_EQ(validateSpace(testSpace450()), "");
+    EXPECT_EQ(validateSpace(wideSpace7()), "");
+
+    ExploreSpace valid;
+    valid.axes = {capacityAxis(1000.0_mah, 500.0_mah, 4)};
+    EXPECT_EQ(validateSpace(valid), "");
+
+    const auto rejects = [&](const char *field, auto mutate) {
+        ExploreSpace space = valid;
+        mutate(space);
+        const std::string err = validateSpace(space);
+        EXPECT_NE(err.find(field), std::string::npos)
+            << field << " -> '" << err << "'";
+    };
+    // Structure.
+    rejects("at least one axis",
+            [](ExploreSpace &s) { s.axes.clear(); });
+    rejects("duplicate", [](ExploreSpace &s) {
+        s.axes.push_back(capacityAxis(1000.0_mah, 500.0_mah, 2));
+    });
+    rejects("empty", [](ExploreSpace &s) {
+        s.axes.push_back(cellsAxis({}));
+    });
+    rejects("non-finite", [](ExploreSpace &s) {
+        s.axes.push_back(twrAxis(
+            std::numeric_limits<double>::infinity(), 0.5, 2));
+    });
+    rejects("positive step", [](ExploreSpace &s) {
+        s.axes.push_back(twrAxis(2.0, 0.0, 2));
+    });
+    // The base point goes through validateDesignInputs.
+    rejects("base: twr", [](ExploreSpace &s) { s.base.twr = 50.0; });
+    // So does every enumerated value and both lattice endpoints.
+    rejects("cells", [](ExploreSpace &s) {
+        s.axes.push_back(cellsAxis({3, 7}));
+    });
+    rejects("compute", [](ExploreSpace &s) {
+        s.axes.push_back(boardAxis(
+            {basicChip3W(),
+             ComputeBoardRecord{"bad", BoardClass::Basic, -1.0, 3.0}}));
+    });
+    rejects("capacityMah", [](ExploreSpace &s) {
+        s.axes[0] = capacityAxis(-100.0_mah, 500.0_mah, 4);
+    });
+    rejects("wheelbaseMm", [](ExploreSpace &s) {
+        s.axes.push_back(wheelbaseAxis(0.0_mm, 100.0_mm, 3));
+    });
+    rejects("wheelbaseMm", [](ExploreSpace &s) {
+        s.axes.push_back(wheelbaseAxis(1900.0_mm, 100.0_mm, 3));
+    });
+    rejects("twr", [](ExploreSpace &s) {
+        s.axes.push_back(twrAxis(0.5, 0.5, 3));
+    });
+    rejects("twr", [](ExploreSpace &s) {
+        s.axes.push_back(twrAxis(9.5, 0.5, 3));
+    });
+    rejects("payloadG", [](ExploreSpace &s) {
+        s.axes.push_back(payloadAxis(-10.0_g, 10.0_g, 2));
+    });
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "components/battery.hh"
@@ -233,6 +235,52 @@ TEST(Gates, RiskQueryGatesTheReferenceDesign)
 
     query.quantiles = {1.5};
     EXPECT_DEATH((void)runRiskQuery(query), "quantile");
+}
+
+
+TEST(ValidateUncertaintyOptions, DefaultIsValidAndEachRuleRejects)
+{
+    EXPECT_EQ(validateUncertaintyOptions(UncertaintyOptions{}), "");
+    UncertaintyOptions options;
+    options.samples = 0;
+    EXPECT_NE(validateUncertaintyOptions(options).find("samples"),
+              std::string::npos);
+    options = UncertaintyOptions{};
+    options.scatterReplicates = 1;
+    EXPECT_NE(
+        validateUncertaintyOptions(options).find("scatterReplicates"),
+        std::string::npos);
+    EXPECT_EXIT((void)FitScatter::fromCatalogs(17, 1),
+                testing::ExitedWithCode(1), "scatterReplicates");
+}
+
+TEST(ValidateRiskQuery, DefaultIsValidAndEachRuleRejects)
+{
+    RiskQuery valid;
+    valid.point = referencePoint();
+    valid.gates = {GateSpec{}};
+    valid.quantiles = {0.0, 0.5, 1.0};
+    EXPECT_EQ(validateRiskQuery(RiskQuery{}), "");
+    EXPECT_EQ(validateRiskQuery(valid), "");
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const auto rejects = [&](const char *field, auto mutate) {
+        RiskQuery query = valid;
+        mutate(query);
+        const std::string err = validateRiskQuery(query);
+        EXPECT_NE(err.find(field), std::string::npos)
+            << field << " -> '" << err << "'";
+    };
+    rejects("cells", [](RiskQuery &q) { q.point.cells = 9; });
+    rejects("samples", [](RiskQuery &q) { q.options.samples = 0; });
+    rejects("scatterReplicates",
+            [](RiskQuery &q) { q.options.scatterReplicates = 1; });
+    rejects("threshold",
+            [&](RiskQuery &q) { q.gates[0].threshold = nan; });
+    rejects("minProbability",
+            [](RiskQuery &q) { q.gates[0].minProbability = 1.5; });
+    rejects("quantiles", [](RiskQuery &q) { q.quantiles = {-0.1}; });
+    rejects("quantiles", [&](RiskQuery &q) { q.quantiles = {nan}; });
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +38,15 @@ validDesign(std::uint64_t id)
     Request request;
     request.id = id;
     request.kind = QueryKind::Design;
+    return request;
+}
+
+Request
+validMission(std::uint64_t id)
+{
+    Request request;
+    request.id = id;
+    request.kind = QueryKind::Codesign;
     return request;
 }
 
@@ -133,6 +143,111 @@ TEST(ServePlanner, RejectsSemanticViolations)
     r.spec.capacityHiMah = Quantity<MilliampHours>(300001.0);
     r.spec.capacityStepMah = Quantity<MilliampHours>(1.0);
     rejected(r);
+
+    // Each design-point field rule (validateDesignInputs).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    r = validDesign(9);
+    r.point.capacityMah = Quantity<MilliampHours>(0.0);
+    rejected(r);
+    r = validDesign(10);
+    r.point.propDiameterIn = Quantity<Inches>(-1.0);
+    rejected(r);
+    r = validDesign(11);
+    r.point.compute.powerW = nan;
+    rejected(r);
+    r = validDesign(12);
+    r.point.sensorWeightG = Quantity<Grams>(-1.0);
+    rejected(r);
+    r = validDesign(13);
+    r.point.sensorPowerW = Quantity<Watts>(-1.0);
+    rejected(r);
+    r = validDesign(14);
+    r.point.payloadG = Quantity<Grams>(-1.0);
+    rejected(r);
+    r = validDesign(15);
+    r.point.wheelbaseMm = Quantity<Millimeters>(2500.0);
+    rejected(r);
+
+    // Each sweep axis and scalar (validateSweepSpec).
+    r = validSweep(16);
+    r.spec.airframes = {{Quantity<Millimeters>(0.0), {}}};
+    rejected(r);
+    r = validSweep(17);
+    r.spec.airframes = {{Quantity<Millimeters>(450.0),
+                         Quantity<Inches>(-1.0)}};
+    rejected(r);
+    r = validSweep(18);
+    r.spec.boards[0].weightG = -1.0;
+    rejected(r);
+    r = validSweep(19);
+    r.spec.activities.clear();
+    rejected(r);
+    r = validSweep(20);
+    r.spec.cells = {3, 7};
+    rejected(r);
+    r = validSweep(21);
+    r.spec.twr = 0.5;
+    rejected(r);
+    r = validSweep(22);
+    r.spec.capacityLoMah = Quantity<MilliampHours>(0.0);
+    rejected(r);
+    r = validSweep(23);
+    r.spec.capacityStepMah = Quantity<MilliampHours>(nan);
+    rejected(r);
+    r = validSweep(24);
+    r.spec.sensorWeightG = Quantity<Grams>(-1.0);
+    rejected(r);
+    r = validSweep(25);
+    r.spec.sensorPowerW = Quantity<Watts>(nan);
+    rejected(r);
+    r = validSweep(26);
+    r.spec.payloadG = Quantity<Grams>(-1.0);
+    rejected(r);
+    r = validSweep(27);
+    r.spec.cells.assign(257, 3);
+    rejected(r); // over the axis-entry cap
+    r = validSweep(40);
+    r.spec.capacityLoMah = Quantity<MilliampHours>(1e300);
+    r.spec.capacityHiMah = Quantity<MilliampHours>(1e300);
+    r.spec.capacityStepMah = Quantity<MilliampHours>(1000.0);
+    rejected(r); // a step the capacity loop cannot advance by
+
+    // Each mission field (validateMission) and its service limits.
+    ErrorReply ok;
+    EXPECT_TRUE(planner.validate(validMission(28), ok)) << ok.message;
+    r = validMission(29);
+    r.mission.targetRateHz = 0.0;
+    rejected(r);
+    r = validMission(30);
+    r.mission.perFrameOps[0] = nan;
+    rejected(r);
+    r = validMission(31);
+    r.mission.wheelbasesMm.clear();
+    rejected(r);
+    r = validMission(32);
+    r.mission.wheelbasesMm = {Quantity<Millimeters>(3000.0)};
+    rejected(r);
+    r = validMission(33);
+    r.mission.cells = {0};
+    rejected(r);
+    r = validMission(34);
+    r.mission.capacityLoMah = Quantity<MilliampHours>(-1.0);
+    rejected(r);
+    r = validMission(35);
+    r.mission.capacityHiMah = Quantity<MilliampHours>(1000.0);
+    rejected(r); // hi < lo
+    r = validMission(36);
+    r.mission.capacityStepMah = Quantity<MilliampHours>(0.5);
+    rejected(r); // below minimum step
+    r = validMission(37);
+    r.mission.capacityHiMah = Quantity<MilliampHours>(1e300);
+    rejected(r); // capacity axis over the grid cap
+    r = validMission(38);
+    r.mission.payloadG = Quantity<Grams>(-1.0);
+    rejected(r);
+    r = validMission(39);
+    r.mission.cells.assign(257, 3);
+    rejected(r); // over the axis-entry cap
 
     EXPECT_EQ(planner.stats().executed, 0u);
 }
@@ -282,6 +397,67 @@ TEST(ServePlanner, RejectsExploreAndRiskViolations)
     r = validRisk(13);
     r.risk.gates[0].minProbability = -0.5;
     rejected(r, "gate probability outside [0, 1]");
+
+    // Both endpoints of each lattice axis kind, every value of each
+    // enumerated axis kind, and the base point's other fields.
+    const auto with_axis = [](std::uint64_t id, explore::AxisSpec axis) {
+        Request request = validExplore(id);
+        request.explore.space.axes.push_back(std::move(axis));
+        return request;
+    };
+    rejected(with_axis(14, explore::wheelbaseAxis(
+                               Quantity<Millimeters>(-50.0),
+                               Quantity<Millimeters>(100.0), 3)),
+             "wheelbase axis low endpoint");
+    rejected(with_axis(15, explore::wheelbaseAxis(
+                               Quantity<Millimeters>(1900.0),
+                               Quantity<Millimeters>(100.0), 3)),
+             "wheelbase axis high endpoint");
+    r = validExplore(16);
+    r.explore.space.axes[0] =
+        explore::capacityAxis(Quantity<MilliampHours>(1000.0),
+                              Quantity<MilliampHours>(1e308), 3);
+    rejected(r, "capacity axis high endpoint");
+    rejected(with_axis(17, explore::twrAxis(0.5, 0.5, 3)),
+             "twr axis low endpoint");
+    rejected(with_axis(18, explore::twrAxis(9.5, 0.5, 3)),
+             "twr axis high endpoint");
+    rejected(with_axis(19, explore::payloadAxis(Quantity<Grams>(-1.0),
+                                                Quantity<Grams>(1.0),
+                                                3)),
+             "payload axis low endpoint");
+    rejected(with_axis(20, explore::payloadAxis(Quantity<Grams>(0.0),
+                                                Quantity<Grams>(1e308),
+                                                3)),
+             "payload axis high endpoint");
+    rejected(with_axis(21, explore::boardAxis({ComputeBoardRecord{
+                               "bad", BoardClass::Basic, 20.0, -3.0}})),
+             "board axis value");
+    r = validExplore(22);
+    r.explore.space.axes[1] = explore::cellsAxis({3, 9});
+    rejected(r, "cells axis value");
+    r = validExplore(23);
+    r.explore.space.axes[0] =
+        explore::capacityAxis(Quantity<MilliampHours>(1000.0),
+                              Quantity<MilliampHours>(1.0), 257);
+    rejected(r, "explore axis over the entry cap");
+    r = validExplore(24);
+    r.explore.space.base.payloadG = Quantity<Grams>(-1.0);
+    rejected(r, "base payload negative");
+
+    r = validRisk(25);
+    r.risk.point.wheelbaseMm = Quantity<Millimeters>(0.0);
+    rejected(r, "risk point wheelbase");
+    r = validRisk(26);
+    r.risk.gates[0].threshold =
+        std::numeric_limits<double>::infinity();
+    rejected(r, "gate threshold not finite");
+    r = validRisk(27);
+    r.risk.options.scatterReplicates = 1 << 20;
+    rejected(r, "scatter replicates over the service cap");
+    r = validRisk(28);
+    r.risk.quantiles.assign(257, 0.5);
+    rejected(r, "quantiles over the entry cap");
 
     EXPECT_EQ(planner.stats().executed, 0u);
 }

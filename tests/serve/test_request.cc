@@ -409,6 +409,10 @@ TEST(ServeRequest, MalformedFrameBattery)
          "invalid_request"},
         {"spec for design missing",
          "{\"id\": 2, \"kind\": \"sweep\"}", "invalid_request"},
+        {"cells entry out of int range",
+         "{\"id\": 2, \"kind\": \"sweep\", \"spec\": "
+         "{\"cells\": [1e300]}}",
+         "invalid_request"},
     };
     // Oversized line: rejected by the service's frame cap.
     Case oversized{"oversized line",

@@ -116,6 +116,50 @@ TEST(ServeTransport, RejectionsCompleteImmediately)
     EXPECT_EQ(service.admission().depth(), 0u);
 }
 
+TEST(ServeTransport, ConcurrentHandleFrameRepliesMatchTheirFrames)
+{
+    // Each handleFrame caller runs and answers the frame it parsed,
+    // whatever the other callers do meanwhile.
+    ServiceOptions options;
+    options.engine.threads = 1;
+    options.admission.interactive = TokenBucketConfig{1e9, 1e9};
+    Service service{options};
+
+    constexpr int kThreads = 8;
+    constexpr int kFramesPerThread = 200;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kFramesPerThread; ++i) {
+                const auto id = static_cast<std::uint64_t>(
+                    1 + t * kFramesPerThread + i);
+                const Request request = designRequest(
+                    id, 2000.0 + static_cast<double>(id));
+                const std::string reply = service.handleFrame(
+                    serializeRequest(request), 0.0);
+                const auto doc = parseJson(reply);
+                if (!doc || !doc->find("id") ||
+                    doc->find("id")->asNumber() !=
+                        static_cast<double>(id) ||
+                    reply != serializeDesignReply(
+                                 id, solveDesign(request.point)))
+                    ++mismatches[static_cast<std::size_t>(t)];
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0)
+            << "thread " << t;
+    EXPECT_EQ(service.planner().stats().executed,
+              static_cast<std::uint64_t>(kThreads * kFramesPerThread));
+    EXPECT_EQ(service.admission().depth(), 0u);
+}
+
 // The ISSUE 5 acceptance test: under 2x overload the admission
 // controller must shed rather than let p99 latency grow without
 // bound.  Fully deterministic: virtual clock, fixed service time.
