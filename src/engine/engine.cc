@@ -50,11 +50,10 @@ SweepEngine::solveAll(std::span<const DesignInputs> inputs,
 SweepResult
 SweepEngine::run(const SweepSpec &spec)
 {
-    // Serve workers call run() from many threads; the pool runs one
-    // job at a time, so batches execute one at a time.
-    // bestConfiguration() calls run() from outside the lock, so the
-    // guard lives here and only here.
-    util::MutexLock run_lock(runMutex_);
+    // Serve workers call run() from many threads.  The pool runs one
+    // job at a time, so only the solve (and the pool stats it leaves
+    // behind) holds the run lock; expansion, the feasible scan and
+    // the frontier touch nothing shared and run unlocked.
     obs::ScopedSpan sweep_span("engine.sweep", "engine");
     const auto start = std::chrono::steady_clock::now();
 
@@ -62,7 +61,12 @@ SweepEngine::run(const SweepSpec &spec)
 
     SweepResult result;
     result.points.resize(grid.size());
-    solveAll(grid, result.points);
+    SweepStats &stats = result.stats;
+    {
+        util::MutexLock run_lock(runMutex_);
+        solveAll(grid, result.points);
+        stats.perThread = pool_.lastRunStats();
+    }
 
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         if (result.points[i].feasible)
@@ -70,7 +74,6 @@ SweepEngine::run(const SweepSpec &spec)
     }
     result.frontier = paretoFrontier(result.points);
 
-    SweepStats &stats = result.stats;
     stats.gridPoints = grid.size();
     stats.feasiblePoints = result.feasible.size();
     stats.frontierPoints = result.frontier.size();
@@ -82,8 +85,10 @@ SweepEngine::run(const SweepSpec &spec)
             ? static_cast<double>(grid.size()) / stats.wallSeconds
             : 0.0;
     stats.threads = pool_.threadCount();
-    stats.perThread = pool_.lastRunStats();
-    lastStats_ = stats;
+    {
+        util::MutexLock run_lock(runMutex_);
+        lastStats_ = stats;
+    }
 
     // The per-sweep counters are rebased onto the obs registry: the
     // bespoke SweepStats struct stays as the per-run view (its JSON
@@ -118,10 +123,12 @@ SweepEngine::solvePoints(std::span<const DesignInputs> points)
     // Same batching discipline as run(): one point list at a time
     // per engine, so the output is element-wise identical to a serial
     // solve loop at any thread count.
-    util::MutexLock run_lock(runMutex_);
     obs::ScopedSpan span("engine.solve_points", "engine");
     std::vector<DesignResult> results(points.size());
-    solveAll(points, results);
+    {
+        util::MutexLock run_lock(runMutex_);
+        solveAll(points, results);
+    }
     obs::metrics().counter("engine.point_batches").add(1);
     obs::metrics().counter("engine.grid_points").add(points.size());
     return results;
@@ -154,9 +161,9 @@ SweepEngine::bestConfiguration(const SizeClassSpec &spec,
     for (int c = kMinCells; c <= kMaxCells; ++c)
         cells.push_back(c);
     // The batched scan: expand the class grid once, solve it as one
-    // point batch (no feasible/frontier bookkeeping — the Pareto
-    // pass run() would do is O(n^2) pure overhead here), and take
-    // the max-flight-time index.  Cells ascending with capacity
+    // point batch (no feasible/frontier bookkeeping — only the best
+    // point is wanted, so run()'s Pareto pass would be wasted), and
+    // take the max-flight-time index.  Cells ascending with capacity
     // innermost is exactly the serial search's order, so "strictly
     // greater flight time wins" breaks ties identically.
     const std::vector<DesignInputs> grid = expandGrid(classSweepSpec(

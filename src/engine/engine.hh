@@ -77,12 +77,15 @@ struct SweepResult
  * list to the SoA batch kernel (`solveDesignBatch`), reusable across
  * many sweeps.
  *
- * Thread-safe for concurrent `solve` calls.  Concurrent `run`
- * calls are safe too: they serialize on an internal mutex (one
- * sweep at a time per engine, since the pool runs one job at a
- * time), which is the batching hook the serve layer leans on —
- * server workers submit whole coalesced batches from many threads
- * and the engine orders them.
+ * Thread-safe for concurrent `solve` calls.  Concurrent `run` and
+ * `solvePoints` calls are safe too: the pool runs one job at a
+ * time, so their solves serialize on an internal mutex, which is
+ * the batching hook the serve layer leans on — server workers
+ * submit whole coalesced batches from many threads and the engine
+ * orders them.  The mutex covers only the pool job and the
+ * `lastStats_` write; `run`'s grid expansion, feasible scan and
+ * Pareto frontier run outside it, so one caller's frontier overlaps
+ * another's solve.
  */
 class SweepEngine
 {
@@ -147,7 +150,8 @@ class SweepEngine
     ThreadPool pool_;
     /** Points solved by this engine, across all entry points. */
     std::atomic<std::uint64_t> solved_{0};
-    /** Serializes `run` (and `lastStats_` updates) across callers. */
+    /** Serializes pool jobs (and `lastStats_` updates) across
+     *  callers. */
     mutable util::Mutex runMutex_;
     SweepStats lastStats_ DDSE_GUARDED_BY(runMutex_);
 };

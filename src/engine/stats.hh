@@ -29,7 +29,8 @@ struct SweepStats
     std::size_t feasiblePoints = 0;
     /** Points on the Pareto frontier. */
     std::size_t frontierPoints = 0;
-    /** Wall-clock time of the sweep, seconds. */
+    /** Wall-clock time of the sweep as its caller saw it, seconds
+     *  (including any wait for another caller's solve). */
     double wallSeconds = 0.0;
     /** Grid points per wall-clock second. */
     double pointsPerSecond = 0.0;

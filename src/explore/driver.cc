@@ -226,7 +226,7 @@ refineCandidates(const ExploreSpace &space, const ExploreResult &result,
 /**
  * Fold newly evaluated points (from `first_new` on) into the
  * frontier: Pareto(A u B) == Pareto(Pareto(A) u B), so only the old
- * frontier plus the new points need the pairwise test.
+ * frontier plus the new points go through `paretoFrontier`.
  */
 void
 foldFrontier(ExploreResult &result, std::size_t first_new)

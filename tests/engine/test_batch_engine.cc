@@ -13,9 +13,9 @@
 #include "components/compute_board.hh"
 #include "dse/weight_closure.hh"
 #include "engine/engine.hh"
-#include "engine/pareto.hh"
 
 #include "../dse/batch_test_util.hh"
+#include "pareto_oracle.hh"
 
 using namespace dronedse;
 using namespace dronedse::engine;
@@ -48,7 +48,8 @@ TEST(BatchEngine, BatchAndScalarEnginesAreByteIdentical)
             expectByteIdentical(scalar[i], with_batch.points[i]);
         }
         EXPECT_EQ(with_batch.feasible, scalar_feasible);
-        EXPECT_EQ(with_batch.frontier, paretoFrontier(scalar));
+        EXPECT_EQ(with_batch.frontier,
+                  pareto_oracle::pairwiseFrontier(scalar));
 
         // The engine accounts for every grid point it solved.
         EXPECT_EQ(with_batch.stats.gridPoints, scalar.size());

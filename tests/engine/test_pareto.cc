@@ -1,26 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "engine/pareto.hh"
+#include "pareto_oracle.hh"
+#include "util/rng.hh"
 
 namespace dronedse {
 namespace {
 
 using engine::dominates;
 using engine::paretoFrontier;
-
-DesignResult
-point(double flight_min, double compute_w, double weight_g,
-      bool feasible = true)
-{
-    DesignResult res;
-    res.feasible = feasible;
-    res.flightTimeMin = Quantity<Minutes>(flight_min);
-    res.computePowerW = Quantity<Watts>(compute_w);
-    res.totalWeightG = Quantity<Grams>(weight_g);
-    return res;
-}
+using pareto_oracle::pairwiseFrontier;
+using pareto_oracle::point;
 
 TEST(Pareto, DominanceRequiresStrictImprovementSomewhere)
 {
@@ -82,6 +79,63 @@ TEST(Pareto, SingleFeasiblePointIsTheFrontier)
     const std::vector<DesignResult> points{point(15.0, 2.0, 800.0)};
     const std::vector<std::size_t> expected{0};
     EXPECT_EQ(paretoFrontier(points), expected);
+}
+
+TEST(Pareto, NonFiniteObjectivesMatchPairwiseOracle)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<DesignResult> base{
+        point(20.0, 3.0, 1000.0), point(18.0, 20.0, 1200.0),
+        point(25.0, 1.0, 900.0),  point(10.0, 1.0, 1500.0),
+        point(20.0, 3.0, 1000.0), point(30.0, 50.0, 500.0, false),
+    };
+    // Each objective of one extra point set to NaN, +inf or -inf, on
+    // its own and alongside a copy of itself and an infeasible twin.
+    for (int axis = 0; axis < 3; ++axis) {
+        for (double v : {nan, inf, -inf}) {
+            SCOPED_TRACE("axis " + std::to_string(axis) + " value " +
+                         std::to_string(v));
+            double objectives[3] = {19.0, 10.0, 1100.0};
+            objectives[axis] = v;
+            const DesignResult odd =
+                point(objectives[0], objectives[1], objectives[2]);
+            std::vector<DesignResult> points = base;
+            points.push_back(odd);
+            EXPECT_EQ(paretoFrontier(points), pairwiseFrontier(points));
+            points.insert(points.begin() + 2, odd);
+            DesignResult twin = odd;
+            twin.feasible = false;
+            points.push_back(twin);
+            EXPECT_EQ(paretoFrontier(points), pairwiseFrontier(points));
+            if (std::isnan(v)) {
+                // NaN compares false with everything: on the
+                // frontier, and dominating nothing.
+                const auto frontier = paretoFrontier(points);
+                EXPECT_EQ(std::count(frontier.begin(), frontier.end(),
+                                     std::size_t{2}),
+                          1);
+            }
+        }
+    }
+
+    // A cloud where every objective of every point may be non-finite.
+    const double values[] = {nan, inf, -inf, 0.0, -0.0, 1.0, 2.0};
+    Rng rng(7);
+    const auto pick = [&] {
+        return values[rng.uniformInt(0, std::ssize(values) - 1)];
+    };
+    for (int round = 0; round < 200; ++round) {
+        std::vector<DesignResult> points;
+        for (int i = 0; i < 12; ++i) {
+            const double flight = pick();
+            const double power = pick();
+            points.push_back(
+                point(flight, power, pick(), !rng.bernoulli(0.1)));
+        }
+        EXPECT_EQ(paretoFrontier(points), pairwiseFrontier(points))
+            << "round " << round;
+    }
 }
 
 } // namespace

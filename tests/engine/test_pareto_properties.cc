@@ -4,7 +4,8 @@
  * point clouds: membership is exactly "no dominator exists", the
  * frontier is invariant under input permutation, and the frontier is
  * a fixed point of itself.  Clouds mix clustered and spread points
- * plus duplicates and infeasibles so ties and boundaries get hit.
+ * plus signed zeros, duplicates and infeasibles so ties and
+ * boundaries get hit.
  */
 
 #include <gtest/gtest.h>
@@ -16,73 +17,15 @@
 #include <vector>
 
 #include "engine/pareto.hh"
+#include "pareto_oracle.hh"
 #include "util/rng.hh"
 
 namespace dronedse {
 namespace {
 
-using engine::dominates;
 using engine::paretoFrontier;
-
-DesignResult
-point(double flight_min, double compute_w, double weight_g,
-      bool feasible = true)
-{
-    DesignResult res;
-    res.feasible = feasible;
-    res.flightTimeMin = Quantity<Minutes>(flight_min);
-    res.computePowerW = Quantity<Watts>(compute_w);
-    res.totalWeightG = Quantity<Grams>(weight_g);
-    return res;
-}
-
-/**
- * A random cloud exercising the frontier's edge cases: coarse grids
- * (many exact ties per axis), exact duplicates, and a sprinkling of
- * infeasible points that must never appear or dominate.
- */
-std::vector<DesignResult>
-randomCloud(Rng &rng, std::size_t n)
-{
-    std::vector<DesignResult> cloud;
-    cloud.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!cloud.empty() && rng.bernoulli(0.1)) {
-            cloud.push_back(cloud[static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(
-                                      cloud.size() - 1)))]);
-            continue;
-        }
-        // Snap to a coarse grid so equal coordinates are common.
-        const double flight =
-            static_cast<double>(rng.uniformInt(5, 40));
-        const double power =
-            0.5 * static_cast<double>(rng.uniformInt(2, 40));
-        const double weight =
-            50.0 * static_cast<double>(rng.uniformInt(4, 40));
-        cloud.push_back(
-            point(flight, power, weight, !rng.bernoulli(0.15)));
-    }
-    return cloud;
-}
-
-/** Brute-force oracle: i is on the frontier iff it is feasible and
- * nothing in the cloud dominates it. */
-std::vector<std::size_t>
-oracleFrontier(const std::vector<DesignResult> &cloud)
-{
-    std::vector<std::size_t> frontier;
-    for (std::size_t i = 0; i < cloud.size(); ++i) {
-        if (!cloud[i].feasible)
-            continue;
-        bool dominated = false;
-        for (std::size_t j = 0; j < cloud.size() && !dominated; ++j)
-            dominated = j != i && dominates(cloud[j], cloud[i]);
-        if (!dominated)
-            frontier.push_back(i);
-    }
-    return frontier;
-}
+using pareto_oracle::pairwiseFrontier;
+using pareto_oracle::tieCloud;
 
 /** The frontier as a multiset of coordinate triples, so frontiers of
  * permuted inputs can be compared index-free. */
@@ -103,9 +46,9 @@ TEST(ParetoProperties, MembershipIsExactlyNoDominatorExists)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         Rng rng(seed);
-        const auto cloud = randomCloud(
+        const auto cloud = tieCloud(
             rng, static_cast<std::size_t>(rng.uniformInt(1, 120)));
-        EXPECT_EQ(paretoFrontier(cloud), oracleFrontier(cloud))
+        EXPECT_EQ(paretoFrontier(cloud), pairwiseFrontier(cloud))
             << "seed " << seed;
     }
 }
@@ -114,7 +57,7 @@ TEST(ParetoProperties, FrontierIsInvariantUnderPermutation)
 {
     for (std::uint64_t seed = 100; seed < 110; ++seed) {
         Rng rng(seed);
-        auto cloud = randomCloud(rng, 80);
+        auto cloud = tieCloud(rng, 80);
         const auto baseline =
             frontierPoints(cloud, paretoFrontier(cloud));
         for (int round = 0; round < 5; ++round) {
@@ -136,7 +79,7 @@ TEST(ParetoProperties, FrontierIsAFixedPointOfItself)
 {
     for (std::uint64_t seed = 200; seed < 215; ++seed) {
         Rng rng(seed);
-        const auto cloud = randomCloud(rng, 100);
+        const auto cloud = tieCloud(rng, 100);
         const auto frontier = paretoFrontier(cloud);
         std::vector<DesignResult> survivors;
         survivors.reserve(frontier.size());
@@ -154,7 +97,7 @@ TEST(ParetoProperties, FrontierIndicesAreSortedUniqueAndFeasible)
 {
     for (std::uint64_t seed = 300; seed < 310; ++seed) {
         Rng rng(seed);
-        const auto cloud = randomCloud(rng, 60);
+        const auto cloud = tieCloud(rng, 60);
         const auto frontier = paretoFrontier(cloud);
         EXPECT_TRUE(
             std::is_sorted(frontier.begin(), frontier.end()));

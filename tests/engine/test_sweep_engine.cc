@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "components/compute_board.hh"
@@ -11,6 +12,7 @@
 #include "engine/engine.hh"
 
 #include "../dse/batch_test_util.hh"
+#include "pareto_oracle.hh"
 
 namespace dronedse {
 namespace {
@@ -147,6 +149,53 @@ TEST(SweepEngine, SolveMatchesSolveDesign)
     EXPECT_EQ(counters.hits, 0u);
     EXPECT_EQ(counters.misses, 2u);
     EXPECT_EQ(counters.evictions, 0u);
+}
+
+TEST(SweepEngine, ConcurrentRunsMatchSerial)
+{
+    // Two clients share one 2-thread engine.  Only the solve holds
+    // the engine lock; expansion and the frontier run concurrently,
+    // so each result must still be its own spec's serial sweep.
+    const std::vector<SweepSpec> specs{
+        fig10MediumGrid(),
+        classSweepSpec(classSpec(SizeClass::Small), {1, 2, 3, 4},
+                       100.0_mah, advancedChip20W())};
+    constexpr int kRounds = 20;
+    SweepEngine eng{EngineOptions{.threads = 2}};
+    std::vector<std::vector<SweepResult>> results(specs.size());
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+        clients.emplace_back([&, c] {
+            for (int round = 0; round < kRounds; ++round)
+                results[c].push_back(eng.run(specs[c]));
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+        SCOPED_TRACE("client " + std::to_string(c));
+        const std::vector<DesignResult> serial =
+            runSweepSerial(specs[c]);
+        std::vector<std::size_t> feasible;
+        for (std::size_t i = 0; i < serial.size(); ++i) {
+            if (serial[i].feasible)
+                feasible.push_back(i);
+        }
+        const std::vector<std::size_t> frontier =
+            pareto_oracle::pairwiseFrontier(serial);
+        ASSERT_EQ(results[c].size(), std::size_t{kRounds});
+        for (const SweepResult &swept : results[c]) {
+            ASSERT_EQ(swept.points.size(), serial.size());
+            for (std::size_t i = 0; i < serial.size(); ++i) {
+                SCOPED_TRACE("index " + std::to_string(i));
+                expectByteIdentical(serial[i], swept.points[i]);
+            }
+            EXPECT_EQ(swept.feasible, feasible);
+            EXPECT_EQ(swept.frontier, frontier);
+            EXPECT_EQ(swept.stats.gridPoints, serial.size());
+        }
+    }
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 #include "explore/sampler.hh"
 #include "explore/space.hh"
 
+#include "../engine/pareto_oracle.hh"
+
 namespace dronedse::explore {
 namespace {
 
@@ -84,7 +86,8 @@ TEST(AdaptiveDriver, FrontierIsParetoConsistentAtAnyBudget)
     const std::vector<DesignResult> oracle =
         solveWholeSpace(eng, space);
     const std::set<PointKey> oracle_frontier =
-        frontierKeys(oracle, engine::paretoFrontier(oracle));
+        frontierKeys(oracle,
+                     pareto_oracle::pairwiseFrontier(oracle));
 
     for (std::size_t budget : {600u, 1500u}) {
         ExploreOptions options;
@@ -120,7 +123,8 @@ TEST(AdaptiveDriver, RecoversExactFrontierWithTenthOfGridSolves)
     const std::vector<DesignResult> oracle =
         solveWholeSpace(eng, space);
     const std::set<PointKey> oracle_frontier =
-        frontierKeys(oracle, engine::paretoFrontier(oracle));
+        frontierKeys(oracle,
+                     pareto_oracle::pairwiseFrontier(oracle));
 
     ExploreOptions options;
     options.maxEvaluations = space.pointCount() / 10;
@@ -228,7 +232,8 @@ TEST(AdaptiveDriver, GridSamplerConvergesOnTinySpace)
     EXPECT_TRUE(result.converged);
     EXPECT_EQ(result.evaluations(), space.pointCount());
     EXPECT_EQ(frontierKeys(result.points, result.frontier),
-              frontierKeys(oracle, engine::paretoFrontier(oracle)));
+              frontierKeys(oracle,
+                           pareto_oracle::pairwiseFrontier(oracle)));
 }
 
 TEST(AdaptiveDriver, RejectsInvalidSpaceAndOptions)

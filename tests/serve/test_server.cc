@@ -14,9 +14,10 @@
 
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
-#include "engine/pareto.hh"
 #include "serve/transport.hh"
 #include "util/json.hh"
+
+#include "../engine/pareto_oracle.hh"
 
 using namespace dronedse;
 using namespace dronedse::serve;
@@ -90,7 +91,7 @@ TEST(ServeTransport, SweepReplyMatchesRunSweepSerialOracle)
         feasible += p.feasible ? 1 : 0;
     const std::string expected = serializeSweepReply(
         request.id, points, feasible,
-        engine::paretoFrontier(points));
+        pareto_oracle::pairwiseFrontier(points));
 
     EXPECT_EQ(transport.roundTrip(serializeRequest(request)),
               expected);
@@ -100,8 +101,9 @@ TEST(ServeTransport, SweepReplyMatchesRunSweepSerialOracle)
     pareto.id = 18;
     pareto.kind = QueryKind::Pareto;
     EXPECT_EQ(transport.roundTrip(serializeRequest(pareto)),
-              serializeParetoReply(pareto.id, points,
-                                   engine::paretoFrontier(points)));
+              serializeParetoReply(
+                  pareto.id, points,
+                  pareto_oracle::pairwiseFrontier(points)));
 }
 
 TEST(ServeTransport, RejectionsCompleteImmediately)
