@@ -19,9 +19,7 @@ main()
 
     Table boards({"name", "class", "weight (g)", "power (W)"});
     for (const auto &rec : computeBoardTable()) {
-        boards.addRow({rec.name,
-                       rec.boardClass == BoardClass::Basic ? "basic"
-                                                           : "improved",
+        boards.addRow({rec.name, enumName(rec.boardClass),
                        fmt(rec.weightG, 1), fmt(rec.powerW, 2)});
     }
     boards.print();

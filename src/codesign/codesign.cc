@@ -192,30 +192,13 @@ missionSweepSpec(const MissionSpec &mission,
 const char *
 offloadSplitName(OffloadSplit split)
 {
-    switch (split) {
-      case OffloadSplit::HostOnly:
-        return "host_only";
-      case OffloadSplit::AccelBa:
-        return "accel_ba";
-      case OffloadSplit::AccelAll:
-        return "accel_all";
-      case OffloadSplit::NumSplits:
-        break;
-    }
-    panic("offloadSplitName: invalid split");
+    return enumName(split);
 }
 
 bool
 parseOffloadSplit(const std::string &name, OffloadSplit &out)
 {
-    for (std::size_t i = 0; i < kNumSplits; ++i) {
-        const auto split = static_cast<OffloadSplit>(i);
-        if (name == offloadSplitName(split)) {
-            out = split;
-            return true;
-        }
-    }
-    return false;
+    return parseEnum(name, out);
 }
 
 std::array<double, kNumPhases>

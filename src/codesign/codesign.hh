@@ -28,6 +28,7 @@
 #include "dse/sweep.hh"
 #include "engine/engine.hh"
 #include "platform/platform.hh"
+#include "util/enum_names.hh"
 
 namespace dronedse::codesign {
 
@@ -51,7 +52,16 @@ enum class OffloadSplit
     NumSplits,
 };
 
-/** Wire/report name of a split ("host_only", "accel_ba", ...). */
+/** Wire/report spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<OffloadSplit>, 3>
+wireNames(OffloadSplit)
+{
+    return {{{OffloadSplit::HostOnly, "host_only"},
+             {OffloadSplit::AccelBa, "accel_ba"},
+             {OffloadSplit::AccelAll, "accel_all"}}};
+}
+
+/** Wire/report name of a split. */
 const char *offloadSplitName(OffloadSplit split);
 
 /** Parse a split name; returns false on unknown names. */

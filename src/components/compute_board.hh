@@ -2,8 +2,8 @@
  * @file
  * Flight controllers and companion compute boards (paper Table 4).
  *
- * The paper splits controllers into "basic" boards (inner-loop only,
- * STM32F-class) and "improved" boards (customizable inner loop plus
+ * The paper splits controllers into basic boards (inner-loop only,
+ * STM32F-class) and improved boards (customizable inner loop plus
  * outer-loop capability).  In the footprint analysis these are
  * abstracted to two power levels: a 3 W chip (basic) and a 20 W chip
  * (advanced CPU/GPU system).
@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hh"
+
 namespace dronedse {
 
 /** Capability class of a compute board (paper Table 4 grouping). */
@@ -25,6 +27,14 @@ enum class BoardClass
     /** Customizable inner loop plus outer-loop functions. */
     Improved,
 };
+
+/** Wire spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<BoardClass>, 2>
+wireNames(BoardClass)
+{
+    return {{{BoardClass::Basic, "basic"},
+             {BoardClass::Improved, "improved"}}};
+}
 
 /** One flight controller or companion computer. */
 struct ComputeBoardRecord

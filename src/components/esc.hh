@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "util/enum_names.hh"
 #include "util/quantity.hh"
 #include "util/regression.hh"
 #include "util/rng.hh"
@@ -29,6 +30,14 @@ enum class EscClass
     /** General-purpose ESCs sized for sustained flight. */
     LongFlight,
 };
+
+/** Wire spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<EscClass>, 2>
+wireNames(EscClass)
+{
+    return {{{EscClass::ShortFlight, "short_flight"},
+             {EscClass::LongFlight, "long_flight"}}};
+}
 
 /** One commercial ESC model. */
 struct EscRecord

@@ -37,17 +37,6 @@ struct IndexVecHash
 using EvaluatedMap = std::unordered_map<std::vector<std::size_t>,
                                         std::size_t, IndexVecHash>;
 
-const char *
-activityCsvName(FlightActivity activity)
-{
-    switch (activity) {
-    case FlightActivity::Hovering: return "hovering";
-    case FlightActivity::Maneuvering: return "maneuvering";
-    }
-    panic("activityCsvName: corrupt activity");
-    return "";
-}
-
 /**
  * Refinement candidates around the current frontier, in a fixed
  * order (frontier point ascending, then axis, then offset): the
@@ -398,7 +387,7 @@ frontierCsv(const ExploreResult &result)
         out += buf;
         out += in.compute.name;
         out += ',';
-        out += activityCsvName(in.activity);
+        out += enumName(in.activity);
         std::snprintf(buf, sizeof buf, ",%.17g,%.17g,%.17g,%.17g\n",
                       res.flightTimeMin.value(),
                       res.totalWeightG.value(),

@@ -11,47 +11,25 @@ namespace dronedse::explore {
 const char *
 gateMetricName(GateMetric metric)
 {
-    switch (metric) {
-    case GateMetric::FlightTimeMin: return "flight_time_min";
-    case GateMetric::TotalWeightG: return "total_weight_g";
-    }
-    panic("gateMetricName: corrupt metric");
-    return "";
+    return enumName(metric);
 }
 
 bool
 parseGateMetric(const std::string &name, GateMetric &out)
 {
-    if (name == "flight_time_min")
-        out = GateMetric::FlightTimeMin;
-    else if (name == "total_weight_g")
-        out = GateMetric::TotalWeightG;
-    else
-        return false;
-    return true;
+    return parseEnum(name, out);
 }
 
 const char *
 gateOpName(GateOp op)
 {
-    switch (op) {
-    case GateOp::AtLeast: return "at_least";
-    case GateOp::AtMost: return "at_most";
-    }
-    panic("gateOpName: corrupt op");
-    return "";
+    return enumName(op);
 }
 
 bool
 parseGateOp(const std::string &name, GateOp &out)
 {
-    if (name == "at_least")
-        out = GateOp::AtLeast;
-    else if (name == "at_most")
-        out = GateOp::AtMost;
-    else
-        return false;
-    return true;
+    return parseEnum(name, out);
 }
 
 GateReport

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "explore/uncertainty.hh"
+#include "util/enum_names.hh"
 
 namespace dronedse::explore {
 
@@ -32,7 +33,15 @@ enum class GateMetric
     TotalWeightG,
 };
 
-/** Wire/CSV spelling ("flight_time_min", "total_weight_g"). */
+/** Wire/CSV spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<GateMetric>, 2>
+wireNames(GateMetric)
+{
+    return {{{GateMetric::FlightTimeMin, "flight_time_min"},
+             {GateMetric::TotalWeightG, "total_weight_g"}}};
+}
+
+/** Wire/CSV spelling of `metric`. */
 const char *gateMetricName(GateMetric metric);
 
 /** Inverse of `gateMetricName`; false on unknown spelling. */
@@ -47,7 +56,14 @@ enum class GateOp
     AtMost,
 };
 
-/** Wire/CSV spelling ("at_least", "at_most"). */
+/** Wire/CSV spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<GateOp>, 2>
+wireNames(GateOp)
+{
+    return {{{GateOp::AtLeast, "at_least"}, {GateOp::AtMost, "at_most"}}};
+}
+
+/** Wire/CSV spelling of `op`. */
 const char *gateOpName(GateOp op);
 
 /** Inverse of `gateOpName`; false on unknown spelling. */

@@ -11,30 +11,13 @@ namespace dronedse::explore {
 const char *
 samplerKindName(SamplerKind kind)
 {
-    switch (kind) {
-    case SamplerKind::Grid: return "grid";
-    case SamplerKind::UniformRandom: return "uniform";
-    case SamplerKind::LatinHypercube: return "lhs";
-    case SamplerKind::Sobol: return "sobol";
-    }
-    panic("samplerKindName: corrupt kind");
-    return "";
+    return enumName(kind);
 }
 
 bool
 parseSamplerKind(const std::string &name, SamplerKind &out)
 {
-    if (name == "grid")
-        out = SamplerKind::Grid;
-    else if (name == "uniform")
-        out = SamplerKind::UniformRandom;
-    else if (name == "lhs")
-        out = SamplerKind::LatinHypercube;
-    else if (name == "sobol")
-        out = SamplerKind::Sobol;
-    else
-        return false;
-    return true;
+    return parseEnum(name, out);
 }
 
 namespace {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "explore/space.hh"
+#include "util/enum_names.hh"
 
 namespace dronedse::explore {
 
@@ -45,7 +46,17 @@ enum class SamplerKind
     Sobol,
 };
 
-/** Wire/CLI spelling ("grid", "uniform", "lhs", "sobol"). */
+/** Wire/CLI spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<SamplerKind>, 4>
+wireNames(SamplerKind)
+{
+    return {{{SamplerKind::Grid, "grid"},
+             {SamplerKind::UniformRandom, "uniform"},
+             {SamplerKind::LatinHypercube, "lhs"},
+             {SamplerKind::Sobol, "sobol"}}};
+}
+
+/** Wire/CLI spelling of `kind`. */
 const char *samplerKindName(SamplerKind kind);
 
 /** Inverse of `samplerKindName`; returns false on unknown input. */

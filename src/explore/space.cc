@@ -11,39 +11,13 @@ namespace dronedse::explore {
 const char *
 axisKindName(AxisKind kind)
 {
-    switch (kind) {
-    case AxisKind::Wheelbase: return "wheelbase_mm";
-    case AxisKind::Cells: return "cells";
-    case AxisKind::Capacity: return "capacity_mah";
-    case AxisKind::Twr: return "twr";
-    case AxisKind::Board: return "board";
-    case AxisKind::Activity: return "activity";
-    case AxisKind::Payload: return "payload_g";
-    }
-    panic("axisKindName: corrupt kind");
-    return "";
+    return enumName(kind);
 }
 
 bool
 parseAxisKind(const std::string &name, AxisKind &out)
 {
-    if (name == "wheelbase_mm")
-        out = AxisKind::Wheelbase;
-    else if (name == "cells")
-        out = AxisKind::Cells;
-    else if (name == "capacity_mah")
-        out = AxisKind::Capacity;
-    else if (name == "twr")
-        out = AxisKind::Twr;
-    else if (name == "board")
-        out = AxisKind::Board;
-    else if (name == "activity")
-        out = AxisKind::Activity;
-    else if (name == "payload_g")
-        out = AxisKind::Payload;
-    else
-        return false;
-    return true;
+    return parseEnum(name, out);
 }
 
 bool

@@ -29,6 +29,7 @@
 
 #include "components/compute_board.hh"
 #include "dse/sweep.hh"
+#include "util/enum_names.hh"
 
 namespace dronedse::explore {
 
@@ -44,7 +45,20 @@ enum class AxisKind
     Payload,
 };
 
-/** Wire/CSV spelling ("wheelbase_mm", "cells", ...). */
+/** Wire/CSV spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<AxisKind>, 7>
+wireNames(AxisKind)
+{
+    return {{{AxisKind::Wheelbase, "wheelbase_mm"},
+             {AxisKind::Cells, "cells"},
+             {AxisKind::Capacity, "capacity_mah"},
+             {AxisKind::Twr, "twr"},
+             {AxisKind::Board, "board"},
+             {AxisKind::Activity, "activity"},
+             {AxisKind::Payload, "payload_g"}}};
+}
+
+/** Wire/CSV spelling of `kind`. */
 const char *axisKindName(AxisKind kind);
 
 /** Inverse of `axisKindName`; returns false on unknown spelling. */

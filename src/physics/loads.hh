@@ -10,6 +10,8 @@
 #ifndef DRONEDSE_PHYSICS_LOADS_HH
 #define DRONEDSE_PHYSICS_LOADS_HH
 
+#include "util/enum_names.hh"
+
 namespace dronedse {
 
 /** Flight activity regimes used by the footprint analysis. */
@@ -18,6 +20,14 @@ enum class FlightActivity
     Hovering,
     Maneuvering,
 };
+
+/** Wire/CSV spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<FlightActivity>, 2>
+wireNames(FlightActivity)
+{
+    return {{{FlightActivity::Hovering, "hovering"},
+             {FlightActivity::Maneuvering, "maneuvering"}}};
+}
 
 /** Centre of the paper's hover band (20-30 % of max draw). */
 inline constexpr double kHoverLoadFraction = 0.30;

@@ -1,856 +1,528 @@
 #include "serve/request.hh"
 
 #include <cmath>
+#include <concepts>
+#include <optional>
+#include <ranges>
+#include <span>
+#include <type_traits>
 
 #include "util/json.hh"
-#include "util/logging.hh"
 
 namespace dronedse::serve {
 
 namespace {
 
-/** Largest id that survives the double-typed JSON number channel. */
-constexpr double kMaxId = 9007199254740992.0; // 2^53
+/** Largest integer the double-typed JSON number carries exactly. */
+constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
 
-bool
-invalid(ErrorReply &err, const std::string &message)
-{
-    err.code = ErrorCode::InvalidRequest;
-    err.message = message;
-    return false;
-}
+template <class T>
+constexpr bool kIsQuantity = false;
+template <class U>
+constexpr bool kIsQuantity<Quantity<U>> = true;
+template <class T>
+constexpr bool kIsVector = false;
+template <class T>
+constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+constexpr bool kIsArray = false;
+template <class T, std::size_t N>
+constexpr bool kIsArray<std::array<T, N>> = true;
+template <class T>
+constexpr bool kIsOptional = false;
+template <class T>
+constexpr bool kIsOptional<std::optional<T>> = true;
 
-/**
- * Read an optional member of `obj`: absent keeps the caller's
- * default and succeeds; present-but-wrong-type fails.
- */
-bool
-readDouble(const JsonValue &obj, const char *key, double &out,
-           ErrorReply &err)
-{
-    const JsonValue *value = obj.find(key);
-    if (!value)
-        return true;
-    if (!value->isNumber())
-        return invalid(err, std::string(key) + " must be a number");
-    out = value->asNumber();
-    return true;
-}
+/** `T` or `const T`: one field list serves the reader and the writer. */
+template <class S, class T>
+concept Wire = std::same_as<std::remove_const_t<S>, T>;
 
-/** Append `fn(v)` for each of `values`, comma-separated. */
-template <typename Values, typename Fn>
+// --- field lists -------------------------------------------------
+//
+// One per wire struct, keys in canonical (serialization) order.
+// `v(key, member)` is an optional member; `v.required(key, member)`
+// must be present and, for an enum, must not be the empty string.
+
+template <class V, Wire<ComputeBoardRecord> S>
 void
-appendJoined(std::string &out, const Values &values, Fn &&fn)
+fields(V &v, S &t)
 {
-    bool first = true;
-    for (const auto &v : values) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += fn(v);
-    }
+    v("name", t.name);
+    v("class", t.boardClass);
+    v("weight_g", t.weightG);
+    v("power_w", t.powerW);
 }
 
-/** `readDouble` into a typed quantity. */
-template <typename U>
-bool
-readDouble(const JsonValue &obj, const char *key, Quantity<U> &out,
-           ErrorReply &err)
+template <class V, Wire<DesignInputs> S>
+void
+fields(V &v, S &t)
 {
-    double v = out.value();
-    if (!readDouble(obj, key, v, err))
-        return false;
-    out = Quantity<U>(v);
-    return true;
+    v("wheelbase_mm", t.wheelbaseMm);
+    v("cells", t.cells);
+    v("capacity_mah", t.capacityMah);
+    v("twr", t.twr);
+    v("prop_diameter_in", t.propDiameterIn);
+    v("esc_class", t.escClass);
+    v("board", t.compute);
+    v("sensor_weight_g", t.sensorWeightG);
+    v("sensor_power_w", t.sensorPowerW);
+    v("payload_g", t.payloadG);
+    v("activity", t.activity);
 }
 
-/** An integral number within +-1e9, so the cast to int is defined. */
-bool
-asInt(const JsonValue &value, int &out)
+template <class V, Wire<SweepAirframe> S>
+void
+fields(V &v, S &t)
 {
-    const double v = value.asNumber();
-    if (std::floor(v) != v || v < -1e9 || v > 1e9)
-        return false;
-    out = static_cast<int>(v);
-    return true;
+    v("wheelbase_mm", t.wheelbaseMm);
+    v("prop_diameter_in", t.propDiameterIn);
 }
 
-bool
-readInt(const JsonValue &obj, const char *key, int &out,
-        ErrorReply &err)
+template <class V, Wire<SweepSpec> S>
+void
+fields(V &v, S &t)
 {
-    const JsonValue *value = obj.find(key);
-    if (!value)
-        return true;
-    if (!value->isNumber())
-        return invalid(err, std::string(key) + " must be a number");
-    if (!asInt(*value, out))
-        return invalid(err, std::string(key) + " must be an integer");
-    return true;
+    v("airframes", t.airframes);
+    v("boards", t.boards);
+    v("activities", t.activities);
+    v("cells", t.cells);
+    v("capacity_lo_mah", t.capacityLoMah);
+    v("capacity_hi_mah", t.capacityHiMah);
+    v("capacity_step_mah", t.capacityStepMah);
+    v("twr", t.twr);
+    v("esc_class", t.escClass);
+    v("sensor_weight_g", t.sensorWeightG);
+    v("sensor_power_w", t.sensorPowerW);
+    v("payload_g", t.payloadG);
 }
 
-/** Replace `out` with the array's entries, each read by `asInt`. */
-bool
-readIntArray(const JsonValue &array, std::vector<int> &out,
-             const char *entry_error, ErrorReply &err)
+template <class V, Wire<codesign::MissionSpec> S>
+void
+fields(V &v, S &t)
 {
-    out.clear();
-    for (const JsonValue &entry : array.items()) {
-        int v = 0;
-        if (!entry.isNumber() || !asInt(entry, v))
-            return invalid(err, entry_error);
-        out.push_back(v);
-    }
-    return true;
-}
-
-bool
-readString(const JsonValue &obj, const char *key, std::string &out,
-           ErrorReply &err)
-{
-    const JsonValue *value = obj.find(key);
-    if (!value)
-        return true;
-    if (!value->isString())
-        return invalid(err, std::string(key) + " must be a string");
-    out = value->asString();
-    return true;
-}
-
-bool
-readSize(const JsonValue &obj, const char *key, std::size_t &out,
-         ErrorReply &err)
-{
-    const JsonValue *value = obj.find(key);
-    if (!value)
-        return true;
-    if (!value->isNumber())
-        return invalid(err, std::string(key) + " must be a number");
-    const double v = value->asNumber();
-    if (std::floor(v) != v || v < 0.0 || v > kMaxId)
-        return invalid(err, std::string(key) +
-                                " must be a non-negative integer");
-    out = static_cast<std::size_t>(v);
-    return true;
-}
-
-bool
-readU64(const JsonValue &obj, const char *key, std::uint64_t &out,
-        ErrorReply &err)
-{
-    std::size_t v = static_cast<std::size_t>(out);
-    if (!readSize(obj, key, v, err))
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-bool
-readBool(const JsonValue &obj, const char *key, bool &out,
-         ErrorReply &err)
-{
-    const JsonValue *value = obj.find(key);
-    if (!value)
-        return true;
-    if (!value->isBool())
-        return invalid(err, std::string(key) + " must be a boolean");
-    out = value->asBool();
-    return true;
-}
-
-bool
-parseEscClass(const std::string &name, EscClass &out, ErrorReply &err)
-{
-    if (name == "short_flight")
-        out = EscClass::ShortFlight;
-    else if (name == "long_flight")
-        out = EscClass::LongFlight;
-    else
-        return invalid(err, "unknown esc_class '" + name + "'");
-    return true;
-}
-
-const char *
-escClassName(EscClass esc)
-{
-    return esc == EscClass::ShortFlight ? "short_flight"
-                                        : "long_flight";
-}
-
-bool
-parseActivity(const std::string &name, FlightActivity &out,
-              ErrorReply &err)
-{
-    if (name == "hovering")
-        out = FlightActivity::Hovering;
-    else if (name == "maneuvering")
-        out = FlightActivity::Maneuvering;
-    else
-        return invalid(err, "unknown activity '" + name + "'");
-    return true;
-}
-
-const char *
-activityName(FlightActivity activity)
-{
-    return activity == FlightActivity::Hovering ? "hovering"
-                                                : "maneuvering";
-}
-
-bool
-parseBoardClass(const std::string &name, BoardClass &out,
-                ErrorReply &err)
-{
-    if (name == "basic")
-        out = BoardClass::Basic;
-    else if (name == "improved")
-        out = BoardClass::Improved;
-    else
-        return invalid(err, "unknown board class '" + name + "'");
-    return true;
-}
-
-const char *
-boardClassName(BoardClass cls)
-{
-    return cls == BoardClass::Basic ? "basic" : "improved";
-}
-
-bool
-parseBoard(const JsonValue &value, ComputeBoardRecord &out,
-           ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "board must be an object");
-    std::string cls_name;
-    if (!readString(value, "name", out.name, err) ||
-        !readString(value, "class", cls_name, err) ||
-        !readDouble(value, "weight_g", out.weightG, err) ||
-        !readDouble(value, "power_w", out.powerW, err))
-        return false;
-    if (!cls_name.empty() &&
-        !parseBoardClass(cls_name, out.boardClass, err))
-        return false;
-    return true;
-}
-
-std::string
-serializeBoard(const ComputeBoardRecord &board)
-{
-    std::string out = "{";
-    out += "\"name\": " + jsonQuote(board.name);
-    out += ", \"class\": " +
-           jsonQuote(boardClassName(board.boardClass));
-    out += ", \"weight_g\": " + jsonNumber(board.weightG);
-    out += ", \"power_w\": " + jsonNumber(board.powerW);
-    out += "}";
-    return out;
-}
-
-bool
-parsePoint(const JsonValue &value, DesignInputs &out, ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "point must be an object");
-    std::string esc_name;
-    std::string activity_name_in;
-    if (!readDouble(value, "wheelbase_mm", out.wheelbaseMm, err) ||
-        !readInt(value, "cells", out.cells, err) ||
-        !readDouble(value, "capacity_mah", out.capacityMah, err) ||
-        !readDouble(value, "twr", out.twr, err) ||
-        !readDouble(value, "prop_diameter_in", out.propDiameterIn,
-                    err) ||
-        !readString(value, "esc_class", esc_name, err) ||
-        !readDouble(value, "sensor_weight_g", out.sensorWeightG,
-                    err) ||
-        !readDouble(value, "sensor_power_w", out.sensorPowerW, err) ||
-        !readDouble(value, "payload_g", out.payloadG, err) ||
-        !readString(value, "activity", activity_name_in, err))
-        return false;
-    if (!esc_name.empty() &&
-        !parseEscClass(esc_name, out.escClass, err))
-        return false;
-    if (!activity_name_in.empty() &&
-        !parseActivity(activity_name_in, out.activity, err))
-        return false;
-    if (const JsonValue *board = value.find("board")) {
-        if (!parseBoard(*board, out.compute, err))
-            return false;
-    }
-    return true;
-}
-
-std::string
-serializePoint(const DesignInputs &point)
-{
-    std::string out = "{";
-    out += "\"wheelbase_mm\": " +
-           jsonNumber(point.wheelbaseMm.value());
-    out += ", \"cells\": " + std::to_string(point.cells);
-    out += ", \"capacity_mah\": " +
-           jsonNumber(point.capacityMah.value());
-    out += ", \"twr\": " + jsonNumber(point.twr);
-    out += ", \"prop_diameter_in\": " +
-           jsonNumber(point.propDiameterIn.value());
-    out += ", \"esc_class\": " +
-           jsonQuote(escClassName(point.escClass));
-    out += ", \"board\": " + serializeBoard(point.compute);
-    out += ", \"sensor_weight_g\": " +
-           jsonNumber(point.sensorWeightG.value());
-    out += ", \"sensor_power_w\": " +
-           jsonNumber(point.sensorPowerW.value());
-    out += ", \"payload_g\": " + jsonNumber(point.payloadG.value());
-    out += ", \"activity\": " +
-           jsonQuote(activityName(point.activity));
-    out += "}";
-    return out;
-}
-
-bool
-parseSpec(const JsonValue &value, SweepSpec &out, ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "spec must be an object");
-    if (const JsonValue *airframes = value.find("airframes")) {
-        if (!airframes->isArray())
-            return invalid(err, "airframes must be an array");
-        out.airframes.clear();
-        for (const JsonValue &entry : airframes->items()) {
-            if (!entry.isObject())
-                return invalid(err,
-                               "airframes entries must be objects");
-            SweepAirframe airframe;
-            if (!readDouble(entry, "wheelbase_mm", airframe.wheelbaseMm,
-                            err) ||
-                !readDouble(entry, "prop_diameter_in",
-                            airframe.propDiameterIn, err))
-                return false;
-            out.airframes.push_back(airframe);
-        }
-    }
-    if (const JsonValue *boards = value.find("boards")) {
-        if (!boards->isArray())
-            return invalid(err, "boards must be an array");
-        out.boards.clear();
-        for (const JsonValue &entry : boards->items()) {
-            ComputeBoardRecord board;
-            if (!parseBoard(entry, board, err))
-                return false;
-            out.boards.push_back(std::move(board));
-        }
-    }
-    if (const JsonValue *activities = value.find("activities")) {
-        if (!activities->isArray())
-            return invalid(err, "activities must be an array");
-        out.activities.clear();
-        for (const JsonValue &entry : activities->items()) {
-            if (!entry.isString())
-                return invalid(err,
-                               "activities entries must be strings");
-            FlightActivity activity = FlightActivity::Hovering;
-            if (!parseActivity(entry.asString(), activity, err))
-                return false;
-            out.activities.push_back(activity);
-        }
-    }
-    if (const JsonValue *cells = value.find("cells")) {
-        if (!cells->isArray())
-            return invalid(err, "cells must be an array");
-        if (!readIntArray(*cells, out.cells,
-                          "cells entries must be integers", err))
-            return false;
-    }
-    std::string esc_name;
-    if (!readDouble(value, "capacity_lo_mah", out.capacityLoMah, err) ||
-        !readDouble(value, "capacity_hi_mah", out.capacityHiMah, err) ||
-        !readDouble(value, "capacity_step_mah", out.capacityStepMah,
-                    err) ||
-        !readDouble(value, "twr", out.twr, err) ||
-        !readString(value, "esc_class", esc_name, err) ||
-        !readDouble(value, "sensor_weight_g", out.sensorWeightG,
-                    err) ||
-        !readDouble(value, "sensor_power_w", out.sensorPowerW, err) ||
-        !readDouble(value, "payload_g", out.payloadG, err))
-        return false;
-    if (!esc_name.empty() &&
-        !parseEscClass(esc_name, out.escClass, err))
-        return false;
-    return true;
-}
-
-std::string
-serializeSpec(const SweepSpec &spec)
-{
-    std::string out = "{\"airframes\": [";
-    appendJoined(out, spec.airframes, [](const SweepAirframe &a) {
-        return "{\"wheelbase_mm\": " + jsonNumber(a.wheelbaseMm.value()) +
-               ", \"prop_diameter_in\": " +
-               jsonNumber(a.propDiameterIn.value()) + "}";
-    });
-    out += "], \"boards\": [";
-    appendJoined(out, spec.boards,
-                 [](const auto &v) { return serializeBoard(v); });
-    out += "], \"activities\": [";
-    appendJoined(out, spec.activities,
-                 [](const auto &v) { return jsonQuote(activityName(v)); });
-    out += "], \"cells\": [";
-    appendJoined(out, spec.cells,
-                 [](const auto &v) { return std::to_string(v); });
-    out += "], \"capacity_lo_mah\": " +
-           jsonNumber(spec.capacityLoMah.value());
-    out += ", \"capacity_hi_mah\": " +
-           jsonNumber(spec.capacityHiMah.value());
-    out += ", \"capacity_step_mah\": " +
-           jsonNumber(spec.capacityStepMah.value());
-    out += ", \"twr\": " + jsonNumber(spec.twr);
-    out += ", \"esc_class\": " +
-           jsonQuote(escClassName(spec.escClass));
-    out += ", \"sensor_weight_g\": " +
-           jsonNumber(spec.sensorWeightG.value());
-    out += ", \"sensor_power_w\": " +
-           jsonNumber(spec.sensorPowerW.value());
-    out += ", \"payload_g\": " + jsonNumber(spec.payloadG.value());
-    out += "}";
-    return out;
-}
-
-std::string
-serializeResult(const DesignResult &result)
-{
-    if (!result.feasible) {
-        return "{\"feasible\": false, \"reason\": " +
-               jsonQuote(result.infeasibleReason) + "}";
-    }
-    std::string out = "{\"feasible\": true";
-    out += ", \"total_weight_g\": " +
-           jsonNumber(result.totalWeightG.value());
-    out += ", \"basic_weight_g\": " +
-           jsonNumber(result.basicWeightG.value());
-    out += ", \"battery_weight_g\": " +
-           jsonNumber(result.batteryWeightG.value());
-    out += ", \"motor_kv\": " + jsonNumber(result.motor.kv);
-    out += ", \"max_power_w\": " +
-           jsonNumber(result.maxPowerW.value());
-    out += ", \"avg_power_w\": " +
-           jsonNumber(result.avgPowerW.value());
-    out += ", \"usable_energy_wh\": " +
-           jsonNumber(result.usableEnergyWh.value());
-    out += ", \"flight_time_min\": " +
-           jsonNumber(result.flightTimeMin.value());
-    out += ", \"compute_power_fraction\": " +
-           jsonNumber(result.computePowerFraction);
-    out += "}";
-    return out;
-}
-
-bool
-parseMission(const JsonValue &value, codesign::MissionSpec &out,
-             ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "mission must be an object");
-    std::string activity_name_in;
-    if (!readString(value, "name", out.name, err) ||
-        !readDouble(value, "target_rate_hz", out.targetRateHz,
-                    err) ||
-        !readDouble(value, "capacity_lo_mah", out.capacityLoMah, err) ||
-        !readDouble(value, "capacity_hi_mah", out.capacityHiMah, err) ||
-        !readDouble(value, "capacity_step_mah", out.capacityStepMah,
-                    err) ||
-        !readDouble(value, "payload_g", out.payloadG, err) ||
-        !readString(value, "activity", activity_name_in, err))
-        return false;
-    if (!activity_name_in.empty() &&
-        !parseActivity(activity_name_in, out.activity, err))
-        return false;
-    if (const JsonValue *ops = value.find("per_frame_ops")) {
-        if (!ops->isArray() ||
-            ops->items().size() != out.perFrameOps.size())
-            return invalid(err, "per_frame_ops must be an array of " +
-                                    std::to_string(
-                                        out.perFrameOps.size()) +
-                                    " numbers");
-        std::size_t i = 0;
-        for (const JsonValue &entry : ops->items()) {
-            if (!entry.isNumber())
-                return invalid(
-                    err, "per_frame_ops entries must be numbers");
-            out.perFrameOps[i++] = entry.asNumber();
-        }
-    }
-    if (const JsonValue *wheelbases = value.find("wheelbases_mm")) {
-        if (!wheelbases->isArray())
-            return invalid(err, "wheelbases_mm must be an array");
-        out.wheelbasesMm.clear();
-        for (const JsonValue &entry : wheelbases->items()) {
-            if (!entry.isNumber())
-                return invalid(
-                    err, "wheelbases_mm entries must be numbers");
-            out.wheelbasesMm.push_back(
-                Quantity<Millimeters>(entry.asNumber()));
-        }
-    }
-    if (const JsonValue *cells = value.find("cells")) {
-        if (!cells->isArray())
-            return invalid(err, "cells must be an array");
-        if (!readIntArray(*cells, out.cells,
-                          "cells entries must be integers", err))
-            return false;
-    }
-    return true;
-}
-
-std::string
-serializeMission(const codesign::MissionSpec &mission)
-{
-    std::string out = "{";
-    out += "\"name\": " + jsonQuote(mission.name);
-    out += ", \"target_rate_hz\": " +
-           jsonNumber(mission.targetRateHz);
-    out += ", \"per_frame_ops\": [";
-    appendJoined(out, mission.perFrameOps,
-                 [](const auto &v) { return jsonNumber(v); });
-    out += "], \"wheelbases_mm\": [";
-    appendJoined(out, mission.wheelbasesMm,
-                 [](const auto &v) { return jsonNumber(v.value()); });
-    out += "], \"cells\": [";
-    appendJoined(out, mission.cells,
-                 [](const auto &v) { return std::to_string(v); });
-    out += "], \"capacity_lo_mah\": " +
-           jsonNumber(mission.capacityLoMah.value());
-    out += ", \"capacity_hi_mah\": " +
-           jsonNumber(mission.capacityHiMah.value());
-    out += ", \"capacity_step_mah\": " +
-           jsonNumber(mission.capacityStepMah.value());
-    out += ", \"activity\": " +
-           jsonQuote(activityName(mission.activity));
-    out += ", \"payload_g\": " +
-           jsonNumber(mission.payloadG.value());
-    out += "}";
-    return out;
+    v("name", t.name);
+    v("target_rate_hz", t.targetRateHz);
+    v("per_frame_ops", t.perFrameOps);
+    v("wheelbases_mm", t.wheelbasesMm);
+    v("cells", t.cells);
+    v("capacity_lo_mah", t.capacityLoMah);
+    v("capacity_hi_mah", t.capacityHiMah);
+    v("capacity_step_mah", t.capacityStepMah);
+    v("activity", t.activity);
+    v("payload_g", t.payloadG);
 }
 
 /**
- * One explore axis.  Continuous kinds carry the lattice ladder
- * (`{"axis": "twr", "lo": 1.5, "step": 0.5, "count": 4}`);
- * enumerated kinds carry their value list (`{"axis": "cells",
- * "values": [3, 4]}`, `{"axis": "board", "boards": [...]}`,
- * `{"axis": "activity", "values": ["hovering"]}`).
+ * A tagged union on `axis`: enumerated kinds carry their value list,
+ * continuous kinds the `lo + i*step` ladder.
  */
-bool
-parseAxis(const JsonValue &value, explore::AxisSpec &out,
-          ErrorReply &err)
+template <class V, Wire<explore::AxisSpec> S>
+void
+fields(V &v, S &t)
 {
-    if (!value.isObject())
-        return invalid(err, "axes entries must be objects");
-    std::string kind_name;
-    if (!readString(value, "axis", kind_name, err))
-        return false;
-    if (kind_name.empty())
-        return invalid(err, "axis entries require an axis name");
-    if (!explore::parseAxisKind(kind_name, out.kind))
-        return invalid(err, "unknown axis '" + kind_name + "'");
-    switch (out.kind) {
-    case explore::AxisKind::Cells: {
-        const JsonValue *values = value.find("values");
-        if (!values || !values->isArray())
-            return invalid(err, "cells axis requires a values array");
-        return readIntArray(*values, out.cells,
-                            "cells axis values must be integers", err);
-    }
-    case explore::AxisKind::Board: {
-        const JsonValue *boards = value.find("boards");
-        if (!boards || !boards->isArray())
-            return invalid(err, "board axis requires a boards array");
-        out.boards.clear();
-        for (const JsonValue &entry : boards->items()) {
-            ComputeBoardRecord board;
-            if (!parseBoard(entry, board, err))
-                return false;
-            out.boards.push_back(std::move(board));
-        }
-        return true;
-    }
-    case explore::AxisKind::Activity: {
-        const JsonValue *values = value.find("values");
-        if (!values || !values->isArray())
-            return invalid(err,
-                           "activity axis requires a values array");
-        out.activities.clear();
-        for (const JsonValue &entry : values->items()) {
-            if (!entry.isString())
-                return invalid(
-                    err, "activity axis values must be strings");
-            FlightActivity activity = FlightActivity::Hovering;
-            if (!parseActivity(entry.asString(), activity, err))
-                return false;
-            out.activities.push_back(activity);
-        }
-        return true;
-    }
+    v.required("axis", t.kind);
+    const auto values = [&v](auto &list) { v.required("values", list); };
+    switch (t.kind) {
+    case explore::AxisKind::Cells: values(t.cells); break;
+    case explore::AxisKind::Activity: values(t.activities); break;
+    case explore::AxisKind::Board: v.required("boards", t.boards); break;
     default:
+        v("lo", t.lo);
+        v("step", t.step);
+        v("count", t.count);
         break;
     }
-    if (!readDouble(value, "lo", out.lo, err) ||
-        !readDouble(value, "step", out.step, err) ||
-        !readSize(value, "count", out.count, err))
+}
+
+template <class V, Wire<explore::ExploreSpace> S>
+void
+fields(V &v, S &t)
+{
+    v("base", t.base);
+    v.required("axes", t.axes);
+}
+
+template <class V, Wire<explore::ExploreOptions> S>
+void
+fields(V &v, S &t)
+{
+    v("sampler", t.sampler);
+    v("seed", t.seed);
+    v("initial_samples", t.initialSamples);
+    v("round_evaluations", t.roundEvaluations);
+    v("max_evaluations", t.maxEvaluations);
+    v("max_rounds", t.maxRounds);
+    v("neighbor_radius", t.neighborRadius);
+    v("bisect_boundary", t.bisectBoundary);
+}
+
+/** Flattened into the request object. */
+template <class V, Wire<explore::ExploreQuery> S>
+void
+fields(V &v, S &t)
+{
+    v.required("space", t.space);
+    v("options", t.options);
+}
+
+template <class V, Wire<explore::UncertaintyOptions> S>
+void
+fields(V &v, S &t)
+{
+    v("seed", t.seed);
+    v("samples", t.samples);
+    v("scatter_replicates", t.scatterReplicates);
+}
+
+template <class V, Wire<explore::GateSpec> S>
+void
+fields(V &v, S &t)
+{
+    v("metric", t.metric);
+    v("op", t.op);
+    v("threshold", t.threshold);
+    v("min_probability", t.minProbability);
+}
+
+/** Flattened into the request object. */
+template <class V, Wire<explore::RiskQuery> S>
+void
+fields(V &v, S &t)
+{
+    v.required("point", t.point);
+    v("options", t.options);
+    v("gates", t.gates);
+    v("quantiles", t.quantiles);
+}
+
+/**
+ * The head, then the kind's payload.  The id leads, so every later
+ * read error can echo it; the reader has filled `kind` by the time
+ * the switch looks at it.
+ */
+template <class V, Wire<Request> S>
+void
+fields(V &v, S &t)
+{
+    v.required("id", t.id);
+    v.required("kind", t.kind);
+    v("class", t.cls);
+    switch (t.kind) {
+    case QueryKind::Design: v.required("point", t.point); break;
+    case QueryKind::Sweep:
+    case QueryKind::Pareto: v.required("spec", t.spec); break;
+    case QueryKind::Codesign: v.required("mission", t.mission); break;
+    case QueryKind::Explore: fields(v, t.explore); break;
+    case QueryKind::Risk: fields(v, t.risk); break;
+    }
+}
+
+// --- visitors ----------------------------------------------------
+
+/**
+ * Reads one JSON object through a field list.  The first violation
+ * lands in `err` as InvalidRequest and every later member is skipped.
+ */
+class Reader
+{
+  public:
+    Reader(const JsonValue &obj, ErrorReply &err) : obj_(obj), err_(err)
+    {
+    }
+
+    bool ok() const { return ok_; }
+
+    template <class T>
+    void operator()(const char *key, T &member)
+    {
+        field(key, member, false);
+    }
+
+    template <class T>
+    void required(const char *key, T &member)
+    {
+        field(key, member, true);
+    }
+
+  private:
+    template <class T>
+    void field(const char *key, T &member, bool required)
+    {
+        if (!ok_)
+            return;
+        const JsonValue *value = obj_.find(key);
+        if (!value) {
+            if (required)
+                fail(std::string(key) + " is required");
+            return;
+        }
+        if constexpr (std::is_enum_v<T>) {
+            // An empty spelling leaves an optional enum at its default.
+            if (!required && value->isString() &&
+                value->asString().empty())
+                return;
+        }
+        read(*value, key, false, member);
+    }
+
+    bool fail(std::string message)
+    {
+        err_.code = ErrorCode::InvalidRequest;
+        err_.message = std::move(message);
+        ok_ = false;
         return false;
-    return true;
-}
-
-std::string
-serializeAxis(const explore::AxisSpec &axis)
-{
-    std::string out = "{\"axis\": ";
-    out += jsonQuote(explore::axisKindName(axis.kind));
-    switch (axis.kind) {
-    case explore::AxisKind::Cells:
-        out += ", \"values\": [";
-        appendJoined(out, axis.cells,
-                     [](const auto &v) { return std::to_string(v); });
-        out += "]";
-        break;
-    case explore::AxisKind::Board:
-        out += ", \"boards\": [";
-        appendJoined(out, axis.boards,
-                     [](const auto &v) { return serializeBoard(v); });
-        out += "]";
-        break;
-    case explore::AxisKind::Activity:
-        out += ", \"values\": [";
-        appendJoined(out, axis.activities,
-                     [](const auto &v) { return jsonQuote(activityName(v)); });
-        out += "]";
-        break;
-    default:
-        out += ", \"lo\": " + jsonNumber(axis.lo);
-        out += ", \"step\": " + jsonNumber(axis.step);
-        out += ", \"count\": " + std::to_string(axis.count);
-        break;
     }
-    out += "}";
-    return out;
-}
 
-bool
-parseSpace(const JsonValue &value, explore::ExploreSpace &out,
-           ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "space must be an object");
-    if (const JsonValue *base = value.find("base")) {
-        if (!parsePoint(*base, out.base, err))
-            return false;
+    /** `value` into `out`; `entry` marks an array element of `key`. */
+    template <class T>
+    bool read(const JsonValue &value, const char *key, bool entry,
+              T &out)
+    {
+        const auto mustBe = [&](const std::string &what) {
+            return fail(std::string(key) + (entry ? " entry" : "") +
+                        " must be " + what);
+        };
+        if constexpr (std::is_same_v<T, bool>) {
+            if (!value.isBool())
+                return mustBe("a boolean");
+            out = value.asBool();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            if (!value.isString())
+                return mustBe("a string");
+            out = value.asString();
+        } else if constexpr (std::is_enum_v<T>) {
+            if (!value.isString())
+                return mustBe("a string");
+            if (!parseEnum(value.asString(), out))
+                return fail("unknown " + std::string(key) + " '" +
+                            value.asString() + "'");
+        } else if constexpr (std::is_arithmetic_v<T> || kIsQuantity<T>) {
+            if (!value.isNumber())
+                return mustBe("a number");
+            const double v = value.asNumber();
+            if constexpr (std::is_same_v<T, int>) {
+                // Within +-1e9, so the cast is defined.
+                if (std::floor(v) != v || v < -1e9 || v > 1e9)
+                    return mustBe("an integer");
+                out = static_cast<int>(v);
+            } else if constexpr (std::is_unsigned_v<T>) {
+                if (std::floor(v) != v || v < 0.0 || v > kMaxExactInt)
+                    return mustBe("a non-negative integer <= 2^53");
+                out = static_cast<T>(v);
+            } else {
+                out = T(v);
+            }
+        } else if constexpr (kIsArray<T>) {
+            if (!value.isArray() || value.items().size() != out.size())
+                return mustBe("an array of " +
+                              std::to_string(out.size()) + " entries");
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                if (!read(value.items()[i], key, true, out[i]))
+                    return false;
+            }
+        } else if constexpr (kIsVector<T>) {
+            if (!value.isArray())
+                return mustBe("an array");
+            out.clear();
+            out.reserve(value.items().size());
+            for (const JsonValue &item : value.items()) {
+                typename T::value_type element{};
+                if (!read(item, key, true, element))
+                    return false;
+                out.push_back(std::move(element));
+            }
+        } else {
+            if (!value.isObject())
+                return mustBe("an object");
+            Reader nested(value, err_);
+            fields(nested, out);
+            ok_ = nested.ok();
+        }
+        return ok_;
     }
-    const JsonValue *axes = value.find("axes");
-    if (!axes || !axes->isArray())
-        return invalid(err, "space requires an axes array");
-    out.axes.clear();
-    for (const JsonValue &entry : axes->items()) {
-        explore::AxisSpec axis;
-        if (!parseAxis(entry, axis, err))
-            return false;
-        out.axes.push_back(std::move(axis));
+
+    const JsonValue &obj_;
+    ErrorReply &err_;
+    bool ok_ = true;
+};
+
+/**
+ * Appends one JSON object's members to `out`, in the order the field
+ * list visits them; nested structs and lists go into the same string.
+ */
+class Writer
+{
+  public:
+    explicit Writer(std::string &out) : out_(out) {}
+
+    template <class T>
+    void operator()(const char *key, const T &value)
+    {
+        out_ += first_ ? "\"" : ", \"";
+        first_ = false;
+        out_ += key;
+        out_ += "\": ";
+        write(value);
     }
-    return true;
-}
 
-std::string
-serializeSpace(const explore::ExploreSpace &space)
-{
-    std::string out = "{\"base\": " + serializePoint(space.base);
-    out += ", \"axes\": [";
-    appendJoined(out, space.axes,
-                 [](const auto &v) { return serializeAxis(v); });
-    out += "]}";
-    return out;
-}
-
-bool
-parseExploreOptions(const JsonValue &value,
-                    explore::ExploreOptions &out, ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "options must be an object");
-    std::string sampler_name;
-    if (!readString(value, "sampler", sampler_name, err))
-        return false;
-    if (!sampler_name.empty() &&
-        !explore::parseSamplerKind(sampler_name, out.sampler))
-        return invalid(err,
-                       "unknown sampler '" + sampler_name + "'");
-    return readU64(value, "seed", out.seed, err) &&
-           readSize(value, "initial_samples", out.initialSamples,
-                    err) &&
-           readSize(value, "round_evaluations",
-                    out.roundEvaluations, err) &&
-           readSize(value, "max_evaluations", out.maxEvaluations,
-                    err) &&
-           readSize(value, "max_rounds", out.maxRounds, err) &&
-           readSize(value, "neighbor_radius", out.neighborRadius,
-                    err) &&
-           readBool(value, "bisect_boundary", out.bisectBoundary,
-                    err);
-}
-
-std::string
-serializeExploreOptions(const explore::ExploreOptions &options)
-{
-    std::string out = "{\"sampler\": ";
-    out += jsonQuote(explore::samplerKindName(options.sampler));
-    out += ", \"seed\": " + std::to_string(options.seed);
-    out += ", \"initial_samples\": " +
-           std::to_string(options.initialSamples);
-    out += ", \"round_evaluations\": " +
-           std::to_string(options.roundEvaluations);
-    out += ", \"max_evaluations\": " +
-           std::to_string(options.maxEvaluations);
-    out += ", \"max_rounds\": " + std::to_string(options.maxRounds);
-    out += ", \"neighbor_radius\": " +
-           std::to_string(options.neighborRadius);
-    out += std::string(", \"bisect_boundary\": ") +
-           (options.bisectBoundary ? "true" : "false");
-    out += "}";
-    return out;
-}
-
-bool
-parseUncertaintyOptions(const JsonValue &value,
-                        explore::UncertaintyOptions &out,
-                        ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "options must be an object");
-    return readU64(value, "seed", out.seed, err) &&
-           readSize(value, "samples", out.samples, err) &&
-           readInt(value, "scatter_replicates",
-                   out.scatterReplicates, err);
-}
-
-std::string
-serializeUncertaintyOptions(
-    const explore::UncertaintyOptions &options)
-{
-    std::string out =
-        "{\"seed\": " + std::to_string(options.seed);
-    out += ", \"samples\": " + std::to_string(options.samples);
-    out += ", \"scatter_replicates\": " +
-           std::to_string(options.scatterReplicates);
-    out += "}";
-    return out;
-}
-
-bool
-parseGate(const JsonValue &value, explore::GateSpec &out,
-          ErrorReply &err)
-{
-    if (!value.isObject())
-        return invalid(err, "gates entries must be objects");
-    std::string metric_name, op_name;
-    if (!readString(value, "metric", metric_name, err) ||
-        !readString(value, "op", op_name, err) ||
-        !readDouble(value, "threshold", out.threshold, err) ||
-        !readDouble(value, "min_probability", out.minProbability,
-                    err))
-        return false;
-    if (!metric_name.empty() &&
-        !explore::parseGateMetric(metric_name, out.metric))
-        return invalid(err, "unknown metric '" + metric_name + "'");
-    if (!op_name.empty() && !explore::parseGateOp(op_name, out.op))
-        return invalid(err, "unknown op '" + op_name + "'");
-    return true;
-}
-
-std::string
-serializeGate(const explore::GateSpec &gate)
-{
-    std::string out = "{\"metric\": ";
-    out += jsonQuote(explore::gateMetricName(gate.metric));
-    out += ", \"op\": " + jsonQuote(explore::gateOpName(gate.op));
-    out += ", \"threshold\": " + jsonNumber(gate.threshold);
-    out += ", \"min_probability\": " +
-           jsonNumber(gate.minProbability);
-    out += "}";
-    return out;
-}
-
-bool
-parseRisk(const JsonValue &doc, explore::RiskQuery &out,
-          ErrorReply &err)
-{
-    const JsonValue *point = doc.find("point");
-    if (!point)
-        return invalid(err, "risk query requires a point");
-    if (!parsePoint(*point, out.point, err))
-        return false;
-    if (const JsonValue *options = doc.find("options")) {
-        if (!parseUncertaintyOptions(*options, out.options, err))
-            return false;
+    template <class T>
+    void required(const char *key, const T &value)
+    {
+        (*this)(key, value);
     }
-    if (const JsonValue *gates = doc.find("gates")) {
-        if (!gates->isArray())
-            return invalid(err, "gates must be an array");
-        out.gates.clear();
-        for (const JsonValue &entry : gates->items()) {
-            explore::GateSpec gate;
-            if (!parseGate(entry, gate, err))
-                return false;
-            out.gates.push_back(gate);
+
+  private:
+    template <class T>
+    void write(const T &value)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            out_ += value ? "true" : "false";
+        } else if constexpr (std::is_enum_v<T>) {
+            out_ += '"';
+            out_ += enumName(value);
+            out_ += '"';
+        } else if constexpr (std::is_integral_v<T>) {
+            out_ += std::to_string(value);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            out_ += jsonNumber(value);
+        } else if constexpr (kIsQuantity<T>) {
+            out_ += jsonNumber(value.value());
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            out_ += jsonQuote(value);
+        } else if constexpr (kIsOptional<T>) {
+            if (value)
+                write(*value);
+            else
+                out_ += "null";
+        } else if constexpr (std::ranges::range<T>) {
+            out_ += '[';
+            bool first = true;
+            for (const auto &item : value) {
+                if (!first)
+                    out_ += ", ";
+                first = false;
+                write(item);
+            }
+            out_ += ']';
+        } else {
+            out_ += '{';
+            Writer nested(out_);
+            fields(nested, value);
+            out_ += '}';
         }
     }
-    if (const JsonValue *quantiles = doc.find("quantiles")) {
-        if (!quantiles->isArray())
-            return invalid(err, "quantiles must be an array");
-        out.quantiles.clear();
-        for (const JsonValue &entry : quantiles->items()) {
-            if (!entry.isNumber())
-                return invalid(err,
-                               "quantiles entries must be numbers");
-            out.quantiles.push_back(entry.asNumber());
-        }
-    }
-    return true;
-}
 
+    std::string &out_;
+    bool first_ = true;
+};
+
+/** `{` + the members `body` writes + `}`. */
+template <class Body>
 std::string
-serializeChoice(const codesign::CodesignChoice &choice)
+writeObject(Body &&body)
 {
-    if (!choice.feasible)
-        return "{\"feasible\": false}";
-    const codesign::ComputeConfig &cfg = choice.config;
-    std::string out = "{\"feasible\": true";
-    out += ", \"board\": " + jsonQuote(cfg.boardName);
-    out += ", \"platform\": " +
-           jsonQuote(platformSpec(cfg.platform).name);
-    out += ", \"split\": " +
-           jsonQuote(codesign::offloadSplitName(cfg.split));
-    out += ", \"rate_hz\": " + jsonNumber(cfg.rateHz);
-    out += ", \"sustained_fps\": " + jsonNumber(cfg.sustainedFps);
-    out += ", \"compute_power_w\": " +
-           jsonNumber(cfg.computePowerW.value());
-    out += ", \"compute_weight_g\": " +
-           jsonNumber(cfg.computeWeightG.value());
-    out += ", \"wheelbase_mm\": " +
-           jsonNumber(choice.design.inputs.wheelbaseMm.value());
-    out += ", \"cells\": " +
-           std::to_string(choice.design.inputs.cells);
-    out += ", \"capacity_mah\": " +
-           jsonNumber(choice.design.inputs.capacityMah.value());
-    out += ", \"result\": " + serializeResult(choice.design);
-    out += "}";
+    std::string out = "{";
+    Writer w(out);
+    body(w);
+    out += '}';
     return out;
 }
 
+/** Every reply opens with the request id and the ok flag. */
+template <class Body>
 std::string
-replyHead(std::uint64_t id, bool ok, const char *kind)
+writeReply(std::uint64_t id, bool ok, Body &&body)
 {
-    std::string out = "{\"id\": " + std::to_string(id);
-    out += ok ? ", \"ok\": true" : ", \"ok\": false";
-    if (kind) {
-        out += ", \"kind\": ";
-        out += jsonQuote(kind);
+    return writeObject([&](Writer &w) {
+        w("id", id);
+        w("ok", ok);
+        body(w);
+    });
+}
+
+// --- writer-only field lists -------------------------------------
+
+void
+fields(Writer &w, const DesignResult &t)
+{
+    w("feasible", t.feasible);
+    if (!t.feasible) {
+        w("reason", t.infeasibleReason);
+        return;
     }
-    return out;
+    w("total_weight_g", t.totalWeightG);
+    w("basic_weight_g", t.basicWeightG);
+    w("battery_weight_g", t.batteryWeightG);
+    w("motor_kv", t.motor.kv);
+    w("max_power_w", t.maxPowerW);
+    w("avg_power_w", t.avgPowerW);
+    w("usable_energy_wh", t.usableEnergyWh);
+    w("flight_time_min", t.flightTimeMin);
+    w("compute_power_fraction", t.computePowerFraction);
+}
+
+void
+fields(Writer &w, const codesign::CodesignChoice &t)
+{
+    w("feasible", t.feasible);
+    if (!t.feasible)
+        return;
+    const codesign::ComputeConfig &cfg = t.config;
+    w("board", cfg.boardName);
+    w("platform", platformSpec(cfg.platform).name);
+    w("split", cfg.split);
+    w("rate_hz", cfg.rateHz);
+    w("sustained_fps", cfg.sustainedFps);
+    w("compute_power_w", cfg.computePowerW);
+    w("compute_weight_g", cfg.computeWeightG);
+    w("wheelbase_mm", t.design.inputs.wheelbaseMm);
+    w("cells", t.design.inputs.cells);
+    w("capacity_mah", t.design.inputs.capacityMah);
+    w("result", t.design);
+}
+
+/** The gate as requested, then its verdict, in one object. */
+void
+fields(Writer &w, const explore::GateOutcome &t)
+{
+    fields(w, t.spec);
+    w("probability", t.probability);
+    w("pass", t.pass);
+}
+
+void
+fields(Writer &w, const ErrorReply &t)
+{
+    w("code", t.code);
+    w("message", t.message);
+}
+
+/** An explore frontier or incumbent entry: inputs beside result. */
+struct Evaluated
+{
+    const DesignResult &result;
+};
+
+void
+fields(Writer &w, const Evaluated &t)
+{
+    w("point", t.result.inputs);
+    w("result", t.result);
+}
+
+/** One requested quantile, read off the feasible-sample ECDFs. */
+struct QuantileRow
+{
+    double q;
+    const explore::UncertaintyResult &unc;
+};
+
+void
+fields(Writer &w, const QuantileRow &t)
+{
+    w("q", t.q);
+    w("flight_time_min", t.unc.flightTimeMin.quantile(t.q));
+    w("total_weight_g", t.unc.totalWeightG.quantile(t.q));
 }
 
 } // namespace
@@ -858,37 +530,19 @@ replyHead(std::uint64_t id, bool ok, const char *kind)
 const char *
 queryKindName(QueryKind kind)
 {
-    switch (kind) {
-    case QueryKind::Design: return "design";
-    case QueryKind::Sweep: return "sweep";
-    case QueryKind::Pareto: return "pareto";
-    case QueryKind::Codesign: return "codesign";
-    case QueryKind::Explore: return "explore";
-    case QueryKind::Risk: return "risk";
-    }
-    panic("queryKindName: corrupt kind");
-    return "";
+    return enumName(kind);
 }
 
 const char *
 queryClassName(QueryClass cls)
 {
-    return cls == QueryClass::Interactive ? "interactive" : "batch";
+    return enumName(cls);
 }
 
 const char *
 errorCodeName(ErrorCode code)
 {
-    switch (code) {
-    case ErrorCode::ParseError: return "parse_error";
-    case ErrorCode::InvalidRequest: return "invalid_request";
-    case ErrorCode::TooLarge: return "too_large";
-    case ErrorCode::RateLimited: return "rate_limited";
-    case ErrorCode::Overloaded: return "overloaded";
-    case ErrorCode::Internal: return "internal";
-    }
-    panic("errorCodeName: corrupt code");
-    return "";
+    return enumName(code);
 }
 
 bool
@@ -898,139 +552,36 @@ parseRequest(const std::string &frame, Request &out, ErrorReply &err)
     std::string parse_error;
     const std::optional<JsonValue> doc =
         parseJson(frame, &parse_error);
-    if (!doc) {
+    if (!doc || !doc->isObject()) {
         err.code = ErrorCode::ParseError;
-        err.message = parse_error;
+        err.message =
+            doc ? "request frame must be a JSON object" : parse_error;
         return false;
     }
-    if (!doc->isObject()) {
-        err.code = ErrorCode::ParseError;
-        err.message = "request frame must be a JSON object";
-        return false;
-    }
-
-    // Pull the id first so every later error can echo it.
-    const JsonValue *id = doc->find("id");
-    if (!id || !id->isNumber())
-        return invalid(err, "id must be a number");
-    const double id_value = id->asNumber();
-    if (std::floor(id_value) != id_value || id_value < 0.0 ||
-        id_value > kMaxId)
-        return invalid(err,
-                       "id must be a non-negative integer < 2^53");
-    out.id = static_cast<std::uint64_t>(id_value);
-
-    const JsonValue *kind = doc->find("kind");
-    if (!kind || !kind->isString())
-        return invalid(err, "kind must be a string");
-    const std::string &kind_name = kind->asString();
-    if (kind_name == "design")
-        out.kind = QueryKind::Design;
-    else if (kind_name == "sweep")
-        out.kind = QueryKind::Sweep;
-    else if (kind_name == "pareto")
-        out.kind = QueryKind::Pareto;
-    else if (kind_name == "codesign")
-        out.kind = QueryKind::Codesign;
-    else if (kind_name == "explore")
-        out.kind = QueryKind::Explore;
-    else if (kind_name == "risk")
-        out.kind = QueryKind::Risk;
-    else
-        return invalid(err, "unknown query kind '" + kind_name + "'");
-
-    std::string cls_name;
-    if (!readString(*doc, "class", cls_name, err))
-        return false;
-    if (cls_name.empty() || cls_name == "interactive")
-        out.cls = QueryClass::Interactive;
-    else if (cls_name == "batch")
-        out.cls = QueryClass::Batch;
-    else
-        return invalid(err, "unknown class '" + cls_name + "'");
-
-    if (out.kind == QueryKind::Design) {
-        const JsonValue *point = doc->find("point");
-        if (!point)
-            return invalid(err, "design query requires a point");
-        return parsePoint(*point, out.point, err);
-    }
-    if (out.kind == QueryKind::Codesign) {
-        const JsonValue *mission = doc->find("mission");
-        if (!mission)
-            return invalid(err,
-                           "codesign query requires a mission");
-        return parseMission(*mission, out.mission, err);
-    }
-    if (out.kind == QueryKind::Explore) {
-        const JsonValue *space = doc->find("space");
-        if (!space)
-            return invalid(err, "explore query requires a space");
-        if (!parseSpace(*space, out.explore.space, err))
-            return false;
-        if (const JsonValue *options = doc->find("options")) {
-            if (!parseExploreOptions(*options, out.explore.options,
-                                     err))
-                return false;
-        }
-        return true;
-    }
-    if (out.kind == QueryKind::Risk)
-        return parseRisk(*doc, out.risk, err);
-    const JsonValue *spec = doc->find("spec");
-    if (!spec)
-        return invalid(err, "sweep/pareto query requires a spec");
-    return parseSpec(*spec, out.spec, err);
+    Reader reader(*doc, err);
+    fields(reader, out);
+    return reader.ok();
 }
 
 std::string
 serializeRequest(const Request &request)
 {
-    std::string out = "{\"id\": " + std::to_string(request.id);
-    out += ", \"kind\": " + jsonQuote(queryKindName(request.kind));
-    out +=
-        ", \"class\": " + jsonQuote(queryClassName(request.cls));
-    if (request.kind == QueryKind::Design)
-        out += ", \"point\": " + serializePoint(request.point);
-    else if (request.kind == QueryKind::Codesign)
-        out += ", \"mission\": " + serializeMission(request.mission);
-    else if (request.kind == QueryKind::Explore) {
-        out += ", \"space\": " + serializeSpace(request.explore.space);
-        out += ", \"options\": " +
-               serializeExploreOptions(request.explore.options);
-    } else if (request.kind == QueryKind::Risk) {
-        out += ", \"point\": " + serializePoint(request.risk.point);
-        out += ", \"options\": " +
-               serializeUncertaintyOptions(request.risk.options);
-        out += ", \"gates\": [";
-        appendJoined(out, request.risk.gates,
-                     [](const auto &v) { return serializeGate(v); });
-        out += "], \"quantiles\": [";
-        appendJoined(out, request.risk.quantiles,
-                     [](const auto &v) { return jsonNumber(v); });
-        out += "]";
-    } else
-        out += ", \"spec\": " + serializeSpec(request.spec);
-    out += "}";
-    return out;
+    return writeObject([&](Writer &w) { fields(w, request); });
 }
 
 std::string
 serializeErrorReply(std::uint64_t id, const ErrorReply &err)
 {
-    std::string out = replyHead(id, false, nullptr);
-    out += ", \"error\": {\"code\": " +
-           jsonQuote(errorCodeName(err.code));
-    out += ", \"message\": " + jsonQuote(err.message) + "}}";
-    return out;
+    return writeReply(id, false, [&](Writer &w) { w("error", err); });
 }
 
 std::string
 serializeDesignReply(std::uint64_t id, const DesignResult &result)
 {
-    std::string out = replyHead(id, true, "design");
-    out += ", \"result\": " + serializeResult(result) + "}";
-    return out;
+    return writeReply(id, true, [&](Writer &w) {
+        w("kind", QueryKind::Design);
+        w("result", result);
+    });
 }
 
 std::string
@@ -1039,68 +590,66 @@ serializeSweepReply(std::uint64_t id,
                     std::size_t feasible_count,
                     const std::vector<std::size_t> &frontier)
 {
-    std::string out = replyHead(id, true, "sweep");
-    out += ", \"grid_points\": " + std::to_string(points.size());
-    out += ", \"feasible_count\": " + std::to_string(feasible_count);
-    out += ", \"frontier\": [";
-    appendJoined(out, frontier,
-                 [](const auto &v) { return std::to_string(v); });
-    out += "], \"results\": [";
-    appendJoined(out, points,
-                 [](const auto &v) { return serializeResult(v); });
-    out += "]}";
-    return out;
+    return writeReply(id, true, [&](Writer &w) {
+        w("kind", QueryKind::Sweep);
+        w("grid_points", points.size());
+        w("feasible_count", feasible_count);
+        w("frontier", frontier);
+        w("results", points);
+    });
+}
+
+std::string
+serializeParetoReply(std::uint64_t id,
+                     const std::vector<DesignResult> &points,
+                     const std::vector<std::size_t> &frontier)
+{
+    return writeReply(id, true, [&](Writer &w) {
+        w("kind", QueryKind::Pareto);
+        w("grid_points", points.size());
+        w("frontier", frontier);
+        w("results", frontier | std::views::transform(
+                                    [&](std::size_t i)
+                                        -> const DesignResult & {
+                                        return points[i];
+                                    }));
+    });
 }
 
 std::string
 serializeCodesignReply(std::uint64_t id,
                        const codesign::CodesignOutcome &outcome)
 {
-    std::string out = replyHead(id, true, "codesign");
-    out += ", \"config_count\": " +
-           std::to_string(outcome.configCount);
-    out += ", \"grid_points\": " +
-           std::to_string(outcome.gridPoints);
-    out += ", \"recommended\": " +
-           serializeChoice(outcome.recommended);
-    out += ", \"per_platform\": [";
-    appendJoined(out, outcome.perPlatform,
-                 [](const auto &v) { return serializeChoice(v); });
-    out += "], \"per_split\": [";
-    appendJoined(out, outcome.perSplit,
-                 [](const auto &v) { return serializeChoice(v); });
-    out += "], \"best_sustained_fps\": [";
-    appendJoined(out, outcome.bestSustainedFps,
-                 [](const auto &v) { return jsonNumber(v); });
-    out += "]}";
-    return out;
+    return writeReply(id, true, [&](Writer &w) {
+        w("kind", QueryKind::Codesign);
+        w("config_count", outcome.configCount);
+        w("grid_points", outcome.gridPoints);
+        w("recommended", outcome.recommended);
+        w("per_platform", outcome.perPlatform);
+        w("per_split", outcome.perSplit);
+        w("best_sustained_fps", outcome.bestSustainedFps);
+    });
 }
 
 std::string
 serializeExploreReply(std::uint64_t id,
                       const explore::ExploreResult &result)
 {
-    std::string out = replyHead(id, true, "explore");
-    out += ", \"space_points\": " +
-           std::to_string(result.spacePoints);
-    out += ", \"evaluations\": " +
-           std::to_string(result.evaluations());
-    out += ", \"rounds\": " + std::to_string(result.rounds.size());
-    out += result.converged ? ", \"converged\": true"
-                            : ", \"converged\": false";
-    const auto evaluated = [&](std::size_t i) {
-        const DesignResult &res = result.points[i];
-        return "{\"point\": " + serializePoint(res.inputs) +
-               ", \"result\": " + serializeResult(res) + "}";
-    };
-    out += ", \"frontier\": [";
-    appendJoined(out, result.frontier, evaluated);
-    out += "], \"incumbent\": ";
-    out += result.incumbent < result.points.size()
-               ? evaluated(result.incumbent)
-               : std::string("null");
-    out += "}";
-    return out;
+    std::optional<Evaluated> incumbent;
+    if (result.incumbent < result.points.size())
+        incumbent.emplace(Evaluated{result.points[result.incumbent]});
+    return writeReply(id, true, [&](Writer &w) {
+        w("kind", QueryKind::Explore);
+        w("space_points", result.spacePoints);
+        w("evaluations", result.evaluations());
+        w("rounds", result.rounds.size());
+        w("converged", result.converged);
+        w("frontier", result.frontier |
+                          std::views::transform([&](std::size_t i) {
+                              return Evaluated{result.points[i]};
+                          }));
+        w("incumbent", incumbent);
+    });
 }
 
 std::string
@@ -1109,56 +658,23 @@ serializeRiskReply(std::uint64_t id,
                    const std::vector<double> &quantiles)
 {
     const explore::UncertaintyResult &unc = outcome.uncertainty;
-    std::string out = replyHead(id, true, "risk");
-    out += ", \"nominal\": " + serializeResult(unc.nominal);
-    out += ", \"samples\": " + std::to_string(unc.samples);
-    out += ", \"feasible_samples\": " +
-           std::to_string(unc.feasibleSamples);
-    out += ", \"feasible_fraction\": " +
-           jsonNumber(unc.feasibleFraction());
-    out += ", \"gates\": [";
-    appendJoined(out, outcome.report.gates,
-                 [](const explore::GateOutcome &gate) {
-                     std::string entry = serializeGate(gate.spec);
-                     entry.pop_back(); // reopen the gate object
-                     entry += ", \"probability\": " +
-                              jsonNumber(gate.probability);
-                     return entry + (gate.pass ? ", \"pass\": true}"
-                                               : ", \"pass\": false}");
-                 });
-    out += outcome.report.allPass ? "], \"all_pass\": true"
-                                  : "], \"all_pass\": false";
-    // Quantiles read off the feasible-sample ECDFs; with nothing
-    // feasible there is no distribution to read, so the list is
-    // empty regardless of what was requested.
-    out += ", \"quantiles\": [";
-    if (!unc.flightTimeMin.empty()) {
-        appendJoined(out, quantiles, [&](double q) {
-            return "{\"q\": " + jsonNumber(q) + ", \"flight_time_min\": " +
-                   jsonNumber(unc.flightTimeMin.quantile(q)) +
-                   ", \"total_weight_g\": " +
-                   jsonNumber(unc.totalWeightG.quantile(q)) + "}";
-        });
-    }
-    out += "]}";
-    return out;
-}
-
-std::string
-serializeParetoReply(std::uint64_t id,
-                     const std::vector<DesignResult> &points,
-                     const std::vector<std::size_t> &frontier)
-{
-    std::string out = replyHead(id, true, "pareto");
-    out += ", \"grid_points\": " + std::to_string(points.size());
-    out += ", \"frontier\": [";
-    appendJoined(out, frontier,
-                 [](const auto &v) { return std::to_string(v); });
-    out += "], \"results\": [";
-    appendJoined(out, frontier,
-                 [&](std::size_t v) { return serializeResult(points[v]); });
-    out += "]}";
-    return out;
+    // With nothing feasible there is no distribution to read, so the
+    // list is empty regardless of what was requested.
+    const std::span<const double> read =
+        unc.flightTimeMin.empty() ? std::span<const double>()
+                                  : std::span<const double>(quantiles);
+    return writeReply(id, true, [&](Writer &w) {
+        w("kind", QueryKind::Risk);
+        w("nominal", unc.nominal);
+        w("samples", unc.samples);
+        w("feasible_samples", unc.feasibleSamples);
+        w("feasible_fraction", unc.feasibleFraction());
+        w("gates", outcome.report.gates);
+        w("all_pass", outcome.report.allPass);
+        w("quantiles", read | std::views::transform([&](double q) {
+                           return QuantileRow{q, unc};
+                       }));
+    });
 }
 
 } // namespace dronedse::serve

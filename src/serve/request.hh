@@ -3,11 +3,11 @@
  * Wire protocol of the DSE query service.
  *
  * Frames are line-delimited JSON: one request object per line in,
- * one reply object per line out.  Four query kinds map onto the
+ * one reply object per line out.  Six query kinds map onto the
  * existing model vocabulary:
  *
  *   design   — one `DesignInputs` point, solved by `solveDesign`
- *              (`{"id": 1, "kind": "design", "point": {...}}`)
+ *              (`{"id": 1, "kind": <kind>, "point": {...}}`)
  *   sweep    — a full `SweepSpec` grid; the reply carries every grid
  *              point in `expandGrid` order plus the feasible count
  *              and Pareto frontier indices
@@ -24,16 +24,21 @@
  *
  * Every reply echoes the request id and carries either `"ok": true`
  * with results or `"ok": false` with a typed error
- * (`{"code": "parse_error" | "invalid_request" | "too_large" |
- * "rate_limited" | "overloaded" | "internal", "message": ...}`).
+ * (`{"code": <ErrorCode spelling>, "message": ...}`).
  *
  * `serializeRequest` emits a canonical spelling (fixed member order,
  * every field explicit), so serialize -> parse -> serialize is a
- * byte-identical fixed point; `parseRequest` is lenient about member
- * order and missing fields (defaults apply) but strict about types
- * and enum spellings, and never touches engine or admission state —
- * a malformed frame costs one error reply and nothing else.  The
- * full grammar is in DESIGN.md §12.
+ * byte-identical fixed point for every request whose ids, seeds and
+ * counts are at most 2^53 (the largest integers a JSON number carries
+ * exactly; `parseRequest` rejects anything above).  `parseRequest` is
+ * lenient about member order, unknown keys and missing fields
+ * (defaults apply, as they do for an empty string in an optional
+ * enum field; of two duplicate keys the first wins) but strict about
+ * types (`null` included) and enum spellings, and never touches
+ * engine or admission state — a malformed frame costs one error
+ * reply and nothing else.  One field list per wire struct in
+ * request.cc drives both directions; the full grammar is in
+ * DESIGN.md §12.
  */
 
 #ifndef DRONEDSE_SERVE_REQUEST_HH
@@ -47,6 +52,7 @@
 #include "dse/sweep.hh"
 #include "explore/driver.hh"
 #include "explore/gate.hh"
+#include "util/enum_names.hh"
 
 namespace dronedse::serve {
 
@@ -61,12 +67,32 @@ enum class QueryKind
     Risk,
 };
 
+/** Wire spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<QueryKind>, 6>
+wireNames(QueryKind)
+{
+    return {{{QueryKind::Design, "design"},
+             {QueryKind::Sweep, "sweep"},
+             {QueryKind::Pareto, "pareto"},
+             {QueryKind::Codesign, "codesign"},
+             {QueryKind::Explore, "explore"},
+             {QueryKind::Risk, "risk"}}};
+}
+
 /** Admission classes: interactive outranks batch under shed. */
 enum class QueryClass
 {
     Interactive,
     Batch,
 };
+
+/** Wire spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<QueryClass>, 2>
+wireNames(QueryClass)
+{
+    return {{{QueryClass::Interactive, "interactive"},
+             {QueryClass::Batch, "batch"}}};
+}
 
 /** Typed error taxonomy of the protocol. */
 enum class ErrorCode
@@ -85,7 +111,19 @@ enum class ErrorCode
     Internal,
 };
 
-/** Wire spellings ("design", "interactive", "parse_error", ...). */
+/** Wire spellings (util/enum_names.hh). */
+constexpr std::array<EnumName<ErrorCode>, 6>
+wireNames(ErrorCode)
+{
+    return {{{ErrorCode::ParseError, "parse_error"},
+             {ErrorCode::InvalidRequest, "invalid_request"},
+             {ErrorCode::TooLarge, "too_large"},
+             {ErrorCode::RateLimited, "rate_limited"},
+             {ErrorCode::Overloaded, "overloaded"},
+             {ErrorCode::Internal, "internal"}}};
+}
+
+/** Wire spellings of the three enums above. */
 const char *queryKindName(QueryKind kind);
 const char *queryClassName(QueryClass cls);
 const char *errorCodeName(ErrorCode code);

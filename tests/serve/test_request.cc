@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,206 @@ riskRequest(std::uint64_t id)
     return request;
 }
 
+// --- random wire structs: every field, every enum value -------------
+
+/** A uniformly drawn value of `E`, from its wire table. */
+template <class E>
+E
+randomEnum(Rng &rng)
+{
+    const auto table = wireNames(E{});
+    const auto last = static_cast<std::int64_t>(table.size()) - 1;
+    return table[static_cast<std::size_t>(rng.uniformInt(0, last))].value;
+}
+
+/** Finite doubles across magnitudes and signs. */
+double
+randomReal(Rng &rng)
+{
+    switch (rng.uniformInt(0, 4)) {
+    case 0: return 0.0;
+    case 1: return rng.uniform(-1e300, 1e300);
+    case 2: return rng.uniform(-1e-300, 1e-300);
+    default: return rng.uniform(-5000.0, 5000.0);
+    }
+}
+
+/** Any int the reader accepts (integral, within +-1e9). */
+int
+randomInt(Rng &rng)
+{
+    return static_cast<int>(rng.uniformInt(-1'000'000'000, 1'000'000'000));
+}
+
+/** Any count or seed the reader accepts (integral, within 2^53). */
+std::uint64_t
+randomCount(Rng &rng)
+{
+    return static_cast<std::uint64_t>(
+        rng.uniformInt(0, std::int64_t{1} << 53));
+}
+
+/** Names that exercise the string escaper. */
+std::string
+randomName(Rng &rng)
+{
+    static const char *const names[] = {
+        "", "Basic 3W chip", "q\"uote", "back\\slash", "tab\tnew\nline",
+        "ctl\x01\x1f", "caf\xc3\xa9 \xe2\x9c\x88"};
+    return names[rng.uniformInt(0, std::size(names) - 1)];
+}
+
+template <class Make>
+auto
+randomList(Rng &rng, Make make)
+{
+    std::vector<decltype(make())> out(
+        static_cast<std::size_t>(rng.uniformInt(0, 3)));
+    for (auto &entry : out)
+        entry = make();
+    return out;
+}
+
+ComputeBoardRecord
+randomBoard(Rng &rng)
+{
+    return ComputeBoardRecord{randomName(rng), randomEnum<BoardClass>(rng),
+                              randomReal(rng), randomReal(rng)};
+}
+
+DesignInputs
+randomPoint(Rng &rng)
+{
+    DesignInputs point;
+    point.wheelbaseMm = Quantity<Millimeters>(randomReal(rng));
+    point.cells = randomInt(rng);
+    point.capacityMah = Quantity<MilliampHours>(randomReal(rng));
+    point.twr = randomReal(rng);
+    point.propDiameterIn = Quantity<Inches>(randomReal(rng));
+    point.escClass = randomEnum<EscClass>(rng);
+    point.compute = randomBoard(rng);
+    point.sensorWeightG = Quantity<Grams>(randomReal(rng));
+    point.sensorPowerW = Quantity<Watts>(randomReal(rng));
+    point.payloadG = Quantity<Grams>(randomReal(rng));
+    point.activity = randomEnum<FlightActivity>(rng);
+    return point;
+}
+
+SweepSpec
+randomSpec(Rng &rng)
+{
+    SweepSpec spec;
+    spec.airframes = randomList(rng, [&] {
+        return SweepAirframe{Quantity<Millimeters>(randomReal(rng)),
+                             Quantity<Inches>(randomReal(rng))};
+    });
+    spec.boards = randomList(rng, [&] { return randomBoard(rng); });
+    spec.activities =
+        randomList(rng, [&] { return randomEnum<FlightActivity>(rng); });
+    spec.cells = randomList(rng, [&] { return randomInt(rng); });
+    spec.capacityLoMah = Quantity<MilliampHours>(randomReal(rng));
+    spec.capacityHiMah = Quantity<MilliampHours>(randomReal(rng));
+    spec.capacityStepMah = Quantity<MilliampHours>(randomReal(rng));
+    spec.twr = randomReal(rng);
+    spec.escClass = randomEnum<EscClass>(rng);
+    spec.sensorWeightG = Quantity<Grams>(randomReal(rng));
+    spec.sensorPowerW = Quantity<Watts>(randomReal(rng));
+    spec.payloadG = Quantity<Grams>(randomReal(rng));
+    return spec;
+}
+
+codesign::MissionSpec
+randomMission(Rng &rng)
+{
+    codesign::MissionSpec mission;
+    mission.name = randomName(rng);
+    mission.targetRateHz = randomReal(rng);
+    for (double &ops : mission.perFrameOps)
+        ops = randomReal(rng);
+    mission.wheelbasesMm = randomList(
+        rng, [&] { return Quantity<Millimeters>(randomReal(rng)); });
+    mission.cells = randomList(rng, [&] { return randomInt(rng); });
+    mission.capacityLoMah = Quantity<MilliampHours>(randomReal(rng));
+    mission.capacityHiMah = Quantity<MilliampHours>(randomReal(rng));
+    mission.capacityStepMah = Quantity<MilliampHours>(randomReal(rng));
+    mission.activity = randomEnum<FlightActivity>(rng);
+    mission.payloadG = Quantity<Grams>(randomReal(rng));
+    return mission;
+}
+
+explore::AxisSpec
+randomAxis(Rng &rng)
+{
+    explore::AxisSpec axis;
+    axis.kind = randomEnum<explore::AxisKind>(rng);
+    switch (axis.kind) {
+    case explore::AxisKind::Cells:
+        axis.cells = randomList(rng, [&] { return randomInt(rng); });
+        break;
+    case explore::AxisKind::Board:
+        axis.boards = randomList(rng, [&] { return randomBoard(rng); });
+        break;
+    case explore::AxisKind::Activity:
+        axis.activities = randomList(
+            rng, [&] { return randomEnum<FlightActivity>(rng); });
+        break;
+    default:
+        axis.lo = randomReal(rng);
+        axis.step = randomReal(rng);
+        axis.count = randomCount(rng);
+        break;
+    }
+    return axis;
+}
+
+explore::ExploreQuery
+randomExplore(Rng &rng)
+{
+    explore::ExploreQuery query;
+    query.space.base = randomPoint(rng);
+    query.space.axes = randomList(rng, [&] { return randomAxis(rng); });
+    explore::ExploreOptions &options = query.options;
+    options.sampler = randomEnum<explore::SamplerKind>(rng);
+    options.seed = randomCount(rng);
+    options.initialSamples = randomCount(rng);
+    options.roundEvaluations = randomCount(rng);
+    options.maxEvaluations = randomCount(rng);
+    options.maxRounds = randomCount(rng);
+    options.neighborRadius = randomCount(rng);
+    options.bisectBoundary = rng.uniform() < 0.5;
+    return query;
+}
+
+explore::RiskQuery
+randomRisk(Rng &rng)
+{
+    explore::RiskQuery query;
+    query.point = randomPoint(rng);
+    query.options.seed = randomCount(rng);
+    query.options.samples = randomCount(rng);
+    query.options.scatterReplicates = randomInt(rng);
+    query.gates = randomList(rng, [&] {
+        return explore::GateSpec{randomEnum<explore::GateMetric>(rng),
+                                 randomEnum<explore::GateOp>(rng),
+                                 randomReal(rng), randomReal(rng)};
+    });
+    query.quantiles = randomList(rng, [&] { return randomReal(rng); });
+    return query;
+}
+
+/** serialize -> parse -> serialize is a byte-identical fixed point. */
+void
+expectFixedPoint(const Request &request, int trial)
+{
+    const std::string once = serializeRequest(request);
+    Request parsed;
+    ErrorReply err;
+    ASSERT_TRUE(parseRequest(once, parsed, err))
+        << "trial " << trial << ": " << err.message << "\n"
+        << once;
+    EXPECT_EQ(serializeRequest(parsed), once) << "trial " << trial;
+}
+
 } // namespace
 
 TEST(ServeRequest, DesignRoundTripIsByteIdentical)
@@ -116,6 +318,76 @@ TEST(ServeRequest, MissingFieldsKeepDefaults)
     EXPECT_DOUBLE_EQ(parsed.point.wheelbaseMm.value(),
                      defaults.wheelbaseMm.value());
     EXPECT_EQ(parsed.cls, QueryClass::Interactive);
+
+    const auto parses = [&](const char *frame) {
+        parsed = Request{};
+        EXPECT_TRUE(parseRequest(frame, parsed, err))
+            << frame << ": " << err.message;
+    };
+    // An empty spelling in an optional enum field keeps the default.
+    parses(R"({"id": 4, "kind": "design", "class": "", "point": )"
+           R"({"esc_class": "", "activity": "", "board": {"class": ""}}})");
+    EXPECT_EQ(parsed.cls, QueryClass::Interactive);
+    EXPECT_EQ(parsed.point.escClass, defaults.escClass);
+    EXPECT_EQ(parsed.point.activity, defaults.activity);
+    EXPECT_EQ(parsed.point.compute.boardClass,
+              defaults.compute.boardClass);
+    parses(R"({"id": 4, "kind": "sweep", "spec": {"esc_class": ""}})");
+    EXPECT_EQ(parsed.spec.escClass, SweepSpec{}.escClass);
+    parses(R"({"id": 4, "kind": "explore", "space": {"axes": []}, )"
+           R"("options": {"sampler": ""}})");
+    EXPECT_EQ(parsed.explore.options.sampler,
+              explore::ExploreOptions{}.sampler);
+    parses(R"({"id": 4, "kind": "risk", "point": {}, )"
+           R"("gates": [{"metric": "", "op": ""}]})");
+    ASSERT_EQ(parsed.risk.gates.size(), 1u);
+    EXPECT_EQ(parsed.risk.gates[0].metric, explore::GateSpec{}.metric);
+    EXPECT_EQ(parsed.risk.gates[0].op, explore::GateSpec{}.op);
+
+    // Of two duplicate keys the first wins, at every level.
+    parses(R"({"id": 5, "id": 6, "kind": "design", "point": )"
+           R"({"cells": 5, "cells": 6}})");
+    EXPECT_EQ(parsed.id, 5u);
+    EXPECT_EQ(parsed.point.cells, 5);
+
+    // Unknown keys are ignored and member order is free.
+    parses(R"({"point": {"warp": null, "cells": 2}, "extra": [1, {}], )"
+           R"("kind": "design", "id": 7})");
+    EXPECT_EQ(parsed.id, 7u);
+    EXPECT_EQ(parsed.point.cells, 2);
+}
+
+TEST(ServeRequest, EveryWireEnumRoundTrips)
+{
+    // Each table spells every value of its (dense, zero-based) enum
+    // once, and parseEnum inverts enumName.
+    const auto check = [](auto table) {
+        using E = decltype(table[0].value);
+        std::set<std::string> seen;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const E value = static_cast<E>(i);
+            const char *name = enumName(value);
+            EXPECT_TRUE(seen.insert(name).second) << name;
+            E parsed = table[(i + 1) % table.size()].value;
+            EXPECT_TRUE(parseEnum(name, parsed)) << name;
+            EXPECT_EQ(parsed, value) << name;
+        }
+        E untouched = table[0].value;
+        EXPECT_FALSE(parseEnum("", untouched));
+        EXPECT_FALSE(parseEnum("no_such_spelling", untouched));
+        EXPECT_EQ(untouched, table[0].value);
+    };
+    check(wireNames(EscClass{}));
+    check(wireNames(FlightActivity{}));
+    check(wireNames(BoardClass{}));
+    check(wireNames(QueryKind{}));
+    check(wireNames(QueryClass{}));
+    check(wireNames(ErrorCode{}));
+    check(wireNames(explore::AxisKind{}));
+    check(wireNames(explore::SamplerKind{}));
+    check(wireNames(explore::GateMetric{}));
+    check(wireNames(explore::GateOp{}));
+    check(wireNames(codesign::OffloadSplit{}));
 }
 
 TEST(ServeRequest, ErrorsEchoTheReadableId)
@@ -134,52 +406,21 @@ TEST(ServeRequest, ErrorsEchoTheReadableId)
 TEST(ServeRequest, FuzzSerializeParseSerialize)
 {
     Rng rng(1609);
+    const QueryKind kinds[] = {QueryKind::Design, QueryKind::Sweep,
+                               QueryKind::Pareto, QueryKind::Codesign};
     for (int trial = 0; trial < 300; ++trial) {
         Request request;
-        request.id = static_cast<std::uint64_t>(
-            rng.uniformInt(0, 1'000'000'000));
-        request.cls = rng.uniform() < 0.5 ? QueryClass::Interactive
-                                          : QueryClass::Batch;
-        const int kind = static_cast<int>(rng.uniformInt(0, 2));
-        if (kind == 0) {
-            request.kind = QueryKind::Design;
-            request.point.wheelbaseMm = Quantity<Millimeters>(
-                rng.uniform(80.0, 900.0));
-            request.point.cells =
-                static_cast<int>(rng.uniformInt(1, 6));
-            request.point.capacityMah = Quantity<MilliampHours>(
-                rng.uniform(500.0, 9000.0));
-            request.point.twr = rng.uniform(1.0, 6.0);
-            request.point.payloadG =
-                Quantity<Grams>(rng.uniform(0.0, 300.0));
-            if (rng.uniform() < 0.5)
-                request.point.activity =
-                    FlightActivity::Maneuvering;
-        } else {
-            request.kind = kind == 1 ? QueryKind::Sweep
-                                     : QueryKind::Pareto;
-            const int n_frames =
-                static_cast<int>(rng.uniformInt(1, 3));
-            request.spec.airframes.clear();
-            for (int i = 0; i < n_frames; ++i)
-                request.spec.airframes.push_back(SweepAirframe{
-                    Quantity<Millimeters>(rng.uniform(100.0, 700.0)),
-                    Quantity<Inches>(0.0)});
-            request.spec.boards = {ComputeBoardRecord{
-                "b" + std::to_string(trial), BoardClass::Improved,
-                rng.uniform(5.0, 200.0), rng.uniform(0.5, 30.0)}};
-            request.spec.cells = {
-                static_cast<int>(rng.uniformInt(1, 6))};
-            request.spec.twr = rng.uniform(1.0, 6.0);
+        request.id = randomCount(rng);
+        request.cls = randomEnum<QueryClass>(rng);
+        request.kind = kinds[rng.uniformInt(0, std::size(kinds) - 1)];
+        switch (request.kind) {
+        case QueryKind::Design: request.point = randomPoint(rng); break;
+        case QueryKind::Codesign:
+            request.mission = randomMission(rng);
+            break;
+        default: request.spec = randomSpec(rng); break;
         }
-        const std::string once = serializeRequest(request);
-        Request parsed;
-        ErrorReply err;
-        ASSERT_TRUE(parseRequest(once, parsed, err))
-            << "trial " << trial << ": " << err.message << "\n"
-            << once;
-        EXPECT_EQ(serializeRequest(parsed), once)
-            << "trial " << trial;
+        expectFixedPoint(request, trial);
     }
 }
 
@@ -261,65 +502,16 @@ TEST(ServeRequest, FuzzExploreAndRiskSerializeParseSerialize)
     Rng rng(4242);
     for (int trial = 0; trial < 200; ++trial) {
         Request request;
-        request.id = static_cast<std::uint64_t>(
-            rng.uniformInt(0, 1'000'000'000));
+        request.id = randomCount(rng);
+        request.cls = randomEnum<QueryClass>(rng);
         if (rng.uniform() < 0.5) {
             request.kind = QueryKind::Explore;
-            request.explore.space.axes.push_back(
-                explore::capacityAxis(
-                    Quantity<MilliampHours>(
-                        rng.uniform(500.0, 3000.0)),
-                    Quantity<MilliampHours>(
-                        rng.uniform(50.0, 500.0)),
-                    static_cast<std::size_t>(
-                        rng.uniformInt(1, 12))));
-            if (rng.uniform() < 0.5)
-                request.explore.space.axes.push_back(
-                    explore::cellsAxis(
-                        {static_cast<int>(rng.uniformInt(1, 6))}));
-            if (rng.uniform() < 0.5)
-                request.explore.space.axes.push_back(
-                    explore::twrAxis(rng.uniform(1.5, 3.0),
-                                     rng.uniform(0.1, 1.0),
-                                     static_cast<std::size_t>(
-                                         rng.uniformInt(1, 5))));
-            request.explore.options.seed = static_cast<std::uint64_t>(
-                rng.uniformInt(0, 1 << 20));
-            request.explore.options.maxEvaluations =
-                static_cast<std::size_t>(rng.uniformInt(1, 5000));
+            request.explore = randomExplore(rng);
         } else {
             request.kind = QueryKind::Risk;
-            request.risk.point.capacityMah = Quantity<MilliampHours>(
-                rng.uniform(500.0, 9000.0));
-            request.risk.point.twr = rng.uniform(1.0, 6.0);
-            request.risk.options.seed = static_cast<std::uint64_t>(
-                rng.uniformInt(0, 1 << 20));
-            request.risk.options.samples = static_cast<std::size_t>(
-                rng.uniformInt(1, 2048));
-            const int n_gates =
-                static_cast<int>(rng.uniformInt(0, 3));
-            for (int g = 0; g < n_gates; ++g)
-                request.risk.gates.push_back(explore::GateSpec{
-                    rng.uniform() < 0.5
-                        ? explore::GateMetric::FlightTimeMin
-                        : explore::GateMetric::TotalWeightG,
-                    rng.uniform() < 0.5 ? explore::GateOp::AtLeast
-                                        : explore::GateOp::AtMost,
-                    rng.uniform(1.0, 1000.0),
-                    rng.uniform(0.0, 1.0)});
-            const int n_q = static_cast<int>(rng.uniformInt(0, 4));
-            for (int q = 0; q < n_q; ++q)
-                request.risk.quantiles.push_back(
-                    rng.uniform(0.0, 1.0));
+            request.risk = randomRisk(rng);
         }
-        const std::string once = serializeRequest(request);
-        Request parsed;
-        ErrorReply err;
-        ASSERT_TRUE(parseRequest(once, parsed, err))
-            << "trial " << trial << ": " << err.message << "\n"
-            << once;
-        EXPECT_EQ(serializeRequest(parsed), once)
-            << "trial " << trial;
+        expectFixedPoint(request, trial);
     }
 }
 
@@ -412,6 +604,33 @@ TEST(ServeRequest, MalformedFrameBattery)
         {"cells entry out of int range",
          "{\"id\": 2, \"kind\": \"sweep\", \"spec\": "
          "{\"cells\": [1e300]}}",
+         "invalid_request"},
+        {"cells out of int range",
+         R"({"id": 2, "kind": "design", "point": {"cells": 1e300}})",
+         "invalid_request"},
+        {"null for a field",
+         R"({"id": 2, "kind": "design", "point": {"twr": null}})",
+         "invalid_request"},
+        {"null for an enum",
+         R"({"id": 2, "kind": "design", "class": null, "point": {}})",
+         "invalid_request"},
+        {"null for an object",
+         R"({"id": 2, "kind": "design", "point": null})",
+         "invalid_request"},
+        {"null id", R"({"id": null, "kind": "design", "point": {}})",
+         "invalid_request"},
+        {"empty query kind",
+         R"({"id": 2, "kind": "", "point": {}})", "invalid_request"},
+        {"empty axis name",
+         R"({"id": 2, "kind": "explore", "space": {"axes": )"
+         R"([{"axis": "", "values": [3]}]}})",
+         "invalid_request"},
+        {"empty spelling in an enum list",
+         R"({"id": 2, "kind": "sweep", "spec": {"activities": [""]}})",
+         "invalid_request"},
+        {"seed above 2^53",
+         R"({"id": 2, "kind": "explore", "space": {"axes": []}, )"
+         R"("options": {"seed": 1152921504606846976}})",
          "invalid_request"},
     };
     // Oversized line: rejected by the service's frame cap.
