@@ -81,6 +81,7 @@ main(int argc, char **argv)
     std::vector<DesignResult> points;
     double wall_seconds = 0.0;
     std::size_t solved = 0;
+    engine::SweepStats last;
     for (SizeClass cls :
          {SizeClass::Small, SizeClass::Medium, SizeClass::Large}) {
         SweepSpec spec = classSweepSpec(classSpec(cls),
@@ -90,6 +91,7 @@ main(int argc, char **argv)
         const engine::SweepResult swept = eng.run(spec);
         wall_seconds += swept.stats.wallSeconds;
         solved += swept.stats.gridPoints;
+        last = swept.stats;
         for (std::size_t i : swept.feasible) {
             if (withinPracticalLimits(swept.points[i], classSpec(cls)))
                 points.push_back(swept.points[i]);
@@ -129,7 +131,7 @@ main(int argc, char **argv)
                 wall_seconds > 0.0
                     ? static_cast<double>(solved) / wall_seconds
                     : 0.0);
-    std::printf("Last sweep: %s\n", eng.lastRunStats().toJson().c_str());
+    std::printf("Last sweep: %s\n", last.toJson().c_str());
 
     if (!opts.tracePath.empty()) {
         obs::tracer().writeChromeJson(opts.tracePath);

@@ -23,12 +23,11 @@ SweepResult::feasibleSeries() const
     return out;
 }
 
-SweepEngine::SweepEngine(EngineOptions options)
-    : options_(options), pool_(options.threads)
+SweepEngine::SweepEngine(EngineOptions options) : pool_(options.threads)
 {
 }
 
-void
+std::vector<WorkerStats>
 SweepEngine::solveAll(std::span<const DesignInputs> inputs,
                       std::span<DesignResult> results)
 {
@@ -38,22 +37,21 @@ SweepEngine::solveAll(std::span<const DesignInputs> inputs,
     // partition-invariant (solve(N) == any split of it, per the batch
     // property tests), so the determinism contract holds at any
     // thread count.
-    pool_.parallelForChunks(
-        inputs.size(), options_.chunkSize,
+    std::vector<WorkerStats> per_worker = pool_.parallelForChunks(
+        inputs.size(), 0,
         [&](std::size_t begin, std::size_t end, int) {
             solveDesignBatch(inputs.subspan(begin, end - begin),
                              results.subspan(begin, end - begin));
         });
     solved_.fetch_add(inputs.size(), std::memory_order_relaxed);
+    return per_worker;
 }
 
 SweepResult
 SweepEngine::run(const SweepSpec &spec)
 {
-    // Serve workers call run() from many threads.  The pool runs one
-    // job at a time, so only the solve (and the pool stats it leaves
-    // behind) holds the run lock; expansion, the feasible scan and
-    // the frontier touch nothing shared and run unlocked.
+    // Serve workers call run() from many threads; each call's solve
+    // is its own pool job, and nothing else here touches shared state.
     obs::ScopedSpan sweep_span("engine.sweep", "engine");
     const auto start = std::chrono::steady_clock::now();
 
@@ -62,11 +60,7 @@ SweepEngine::run(const SweepSpec &spec)
     SweepResult result;
     result.points.resize(grid.size());
     SweepStats &stats = result.stats;
-    {
-        util::MutexLock run_lock(runMutex_);
-        solveAll(grid, result.points);
-        stats.perThread = pool_.lastRunStats();
-    }
+    stats.perThread = solveAll(grid, result.points);
 
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         if (result.points[i].feasible)
@@ -85,10 +79,6 @@ SweepEngine::run(const SweepSpec &spec)
             ? static_cast<double>(grid.size()) / stats.wallSeconds
             : 0.0;
     stats.threads = pool_.threadCount();
-    {
-        util::MutexLock run_lock(runMutex_);
-        lastStats_ = stats;
-    }
 
     // The per-sweep counters are rebased onto the obs registry: the
     // bespoke SweepStats struct stays as the per-run view (its JSON
@@ -120,15 +110,11 @@ SweepEngine::solve(const DesignInputs &inputs)
 std::vector<DesignResult>
 SweepEngine::solvePoints(std::span<const DesignInputs> points)
 {
-    // Same batching discipline as run(): one point list at a time
-    // per engine, so the output is element-wise identical to a serial
-    // solve loop at any thread count.
+    // Same slot discipline as run(): the output is element-wise
+    // identical to a serial solve loop at any thread count.
     obs::ScopedSpan span("engine.solve_points", "engine");
     std::vector<DesignResult> results(points.size());
-    {
-        util::MutexLock run_lock(runMutex_);
-        solveAll(points, results);
-    }
+    solveAll(points, results);
     obs::metrics().counter("engine.point_batches").add(1);
     obs::metrics().counter("engine.grid_points").add(points.size());
     return results;

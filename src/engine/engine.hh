@@ -28,7 +28,6 @@
 #include "dse/sweep.hh"
 #include "engine/stats.hh"
 #include "engine/thread_pool.hh"
-#include "util/thread_annotations.hh"
 
 namespace dronedse::engine {
 
@@ -37,8 +36,6 @@ struct EngineOptions
 {
     /** Worker count, caller included; 0 = hardware concurrency. */
     int threads = 0;
-    /** Grid indices per work chunk; 0 = ~4 chunks per worker. */
-    std::size_t chunkSize = 0;
 };
 
 /**
@@ -73,19 +70,15 @@ struct SweepResult
 };
 
 /**
- * The engine: a work-stealing pool that hands each chunk of a point
- * list to the SoA batch kernel (`solveDesignBatch`), reusable across
- * many sweeps.
+ * The engine: a thread pool that hands each chunk of a point list to
+ * the SoA batch kernel (`solveDesignBatch`), reusable across many
+ * sweeps.
  *
- * Thread-safe for concurrent `solve` calls.  Concurrent `run` and
- * `solvePoints` calls are safe too: the pool runs one job at a
- * time, so their solves serialize on an internal mutex, which is
- * the batching hook the serve layer leans on — server workers
- * submit whole coalesced batches from many threads and the engine
- * orders them.  The mutex covers only the pool job and the
- * `lastStats_` write; `run`'s grid expansion, feasible scan and
- * Pareto frontier run outside it, so one caller's frontier overlaps
- * another's solve.
+ * Thread-safe for concurrent `solve`, `run` and `solvePoints` calls,
+ * which is the batching hook the serve layer leans on — server
+ * workers submit whole coalesced batches from many threads.  Each
+ * call is its own pool job, so concurrent callers' solves overlap
+ * and share the pool's workers; the engine holds no lock.
  */
 class SweepEngine
 {
@@ -93,7 +86,7 @@ class SweepEngine
     explicit SweepEngine(EngineOptions options = {});
 
     /** Solve a whole spec; see the determinism contract above. */
-    SweepResult run(const SweepSpec &spec) DDSE_EXCLUDES(runMutex_);
+    SweepResult run(const SweepSpec &spec);
 
     /** Single-point solve: exactly `solveDesign(inputs)`. */
     DesignResult solve(const DesignInputs &inputs);
@@ -106,8 +99,7 @@ class SweepEngine
      * set it decided to evaluate.
      */
     std::vector<DesignResult>
-    solvePoints(std::span<const DesignInputs> points)
-        DDSE_EXCLUDES(runMutex_);
+    solvePoints(std::span<const DesignInputs> points);
 
     /**
      * Engine-backed best configuration of a size class: max flight
@@ -118,7 +110,7 @@ class SweepEngine
     DesignResult bestConfiguration(
         const SizeClassSpec &spec, const ComputeBoardRecord &compute,
         Quantity<MilliampHours> step = Quantity<MilliampHours>(250.0),
-        double twr = 2.0) DDSE_EXCLUDES(runMutex_);
+        double twr = 2.0);
 
     int threadCount() const { return pool_.threadCount(); }
 
@@ -129,31 +121,16 @@ class SweepEngine
             .misses = solved_.load(std::memory_order_relaxed)};
     }
 
-    /**
-     * Stats of the most recent `run`, as one consistent copy taken
-     * under the run mutex (a concurrent `run` may be rewriting the
-     * stats while a caller reads them).
-     */
-    SweepStats lastRunStats() const DDSE_EXCLUDES(runMutex_)
-    {
-        util::MutexLock lock(runMutex_);
-        return lastStats_;
-    }
-
   private:
-    /** Solve `inputs` into `results` chunk-wise on the pool. */
-    void solveAll(std::span<const DesignInputs> inputs,
-                  std::span<DesignResult> results)
-        DDSE_REQUIRES(runMutex_);
+    /** Solve `inputs` into `results` chunk-wise on the pool and
+     *  return the job's per-worker stats. */
+    std::vector<WorkerStats>
+    solveAll(std::span<const DesignInputs> inputs,
+             std::span<DesignResult> results);
 
-    EngineOptions options_;
     ThreadPool pool_;
     /** Points solved by this engine, across all entry points. */
     std::atomic<std::uint64_t> solved_{0};
-    /** Serializes pool jobs (and `lastStats_` updates) across
-     *  callers. */
-    mutable util::Mutex runMutex_;
-    SweepStats lastStats_ DDSE_GUARDED_BY(runMutex_);
 };
 
 /**

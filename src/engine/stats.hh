@@ -29,14 +29,13 @@ struct SweepStats
     std::size_t feasiblePoints = 0;
     /** Points on the Pareto frontier. */
     std::size_t frontierPoints = 0;
-    /** Wall-clock time of the sweep as its caller saw it, seconds
-     *  (including any wait for another caller's solve). */
+    /** Wall-clock time of the sweep as its caller saw it, seconds. */
     double wallSeconds = 0.0;
     /** Grid points per wall-clock second. */
     double pointsPerSecond = 0.0;
     /** Worker count (caller included). */
     int threads = 1;
-    /** Per-worker utilization of the sweep's `parallelFor`. */
+    /** Per-worker accounting of the sweep's own pool job. */
     std::vector<WorkerStats> perThread;
 
     /** Fraction of wall time worker `i` spent solving points. */
@@ -66,8 +65,6 @@ struct SweepStats
                 out += ", ";
             out += "{\"items\": " +
                    std::to_string(perThread[i].itemsProcessed);
-            out += ", \"steals\": " +
-                   std::to_string(perThread[i].chunksStolen);
             out += ", \"busy_seconds\": " +
                    num(perThread[i].busySeconds);
             out += ", \"utilization\": " + num(utilization(i)) + "}";

@@ -1,6 +1,7 @@
 #include "engine/thread_pool.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 
 #include "obs/tracer.hh"
@@ -20,6 +21,20 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 } // namespace
 
+/** One `parallelForChunks` call; lives on its caller's stack. */
+struct ThreadPool::Job
+{
+    const std::function<void(std::size_t, std::size_t, int)> &body;
+    std::size_t count = 0;
+    std::size_t chunk = 1;
+    /** Start of the next unclaimed chunk. */
+    std::atomic<std::size_t> next{0};
+    /** Pool workers inside the job; guarded by `jobMutex_`. */
+    int inside = 0;
+    /** One slot per worker, written only by that worker. */
+    std::vector<WorkerStats> stats;
+};
+
 ThreadPool::ThreadPool(int threads)
 {
     if (threads < 0)
@@ -28,11 +43,6 @@ ThreadPool::ThreadPool(int threads)
         const unsigned hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : static_cast<int>(hw);
     }
-
-    queues_.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i)
-        queues_.push_back(std::make_unique<WorkQueue>());
-    stats_.resize(static_cast<std::size_t>(threads));
 
     // Worker 0 is the calling thread; spawn the rest.
     workers_.reserve(static_cast<std::size_t>(threads - 1));
@@ -63,128 +73,92 @@ ThreadPool::parallelFor(std::size_t count, std::size_t chunk_size,
                       });
 }
 
-void
+std::vector<WorkerStats>
 ThreadPool::parallelForChunks(
     std::size_t count, std::size_t chunk_size,
     const std::function<void(std::size_t, std::size_t, int)> &body)
 {
-    const auto n_workers = queues_.size();
-    for (auto &stat : stats_)
-        stat = WorkerStats{};
+    const auto n_workers = static_cast<std::size_t>(threadCount());
     if (count == 0)
-        return;
-
+        return std::vector<WorkerStats>(n_workers);
     if (chunk_size == 0) {
-        // ~4 chunks per worker keeps the steal queues busy without
-        // drowning the run in locking.
+        // ~4 chunks per worker evens out uneven chunks without
+        // drowning the run in cursor traffic.
         chunk_size = std::max<std::size_t>(1, count / (n_workers * 4));
     }
 
-    // Deal chunks round-robin so every worker starts with a share of
-    // the grid; stealing rebalances whatever the deal got wrong.
-    std::size_t next_queue = 0;
-    for (std::size_t begin = 0; begin < count; begin += chunk_size) {
-        const std::size_t end = std::min(count, begin + chunk_size);
-        auto &queue = *queues_[next_queue];
-        util::MutexLock lock(queue.mutex);
-        queue.chunks.push_back({begin, end});
-        next_queue = (next_queue + 1) % n_workers;
-    }
-
+    Job job{.body = body,
+            .count = count,
+            .chunk = chunk_size,
+            .stats = std::vector<WorkerStats>(n_workers)};
     {
         util::MutexLock lock(jobMutex_);
-        body_ = &body;
-        activeWorkers_ = static_cast<int>(n_workers);
-        ++generation_;
+        jobs_.push_back(&job);
     }
     jobReady_.notifyAll();
 
-    runWorker(0, body);
+    drain(job, 0);
 
     {
         util::MutexLock lock(jobMutex_);
-        if (--activeWorkers_ == 0)
-            jobDone_.notifyAll();
-        while (activeWorkers_ != 0)
+        jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+        while (job.inside != 0)
             jobDone_.wait(jobMutex_);
-        body_ = nullptr;
     }
+    return std::move(job.stats);
+}
+
+ThreadPool::Job *
+ThreadPool::claimableJob() const
+{
+    for (Job *job : jobs_) {
+        if (job->next.load() < job->count)
+            return job;
+    }
+    return nullptr;
 }
 
 void
 ThreadPool::workerLoop(int worker)
 {
-    std::uint64_t seen_generation = 0;
     for (;;) {
-        const Body *body = nullptr;
+        Job *job = nullptr;
         {
             util::MutexLock lock(jobMutex_);
-            while (!shutdown_ && generation_ == seen_generation)
+            while (!shutdown_ && (job = claimableJob()) == nullptr)
                 jobReady_.wait(jobMutex_);
             if (shutdown_)
                 return;
-            seen_generation = generation_;
-            // Snapshot the published body while the mutex is held —
-            // the pointer stays valid until parallelFor observes
-            // activeWorkers_ == 0, which cannot happen before this
-            // worker's runWorker returns.
-            body = body_;
+            // The caller cannot unlink and destroy the job until this
+            // count drops back to 0.
+            ++job->inside;
         }
-        runWorker(worker, *body);
+        drain(*job, worker);
         {
             util::MutexLock lock(jobMutex_);
-            if (--activeWorkers_ == 0)
+            if (--job->inside == 0)
                 jobDone_.notifyAll();
         }
     }
 }
 
 void
-ThreadPool::runWorker(int worker, const Body &body)
+ThreadPool::drain(Job &job, int worker)
 {
-    auto &stat = stats_[static_cast<std::size_t>(worker)];
-    Chunk chunk;
-    while (popLocal(worker, chunk) || steal(worker, chunk)) {
+    auto &stat = job.stats[static_cast<std::size_t>(worker)];
+    for (;;) {
+        const std::size_t begin = job.next.fetch_add(job.chunk);
+        if (begin >= job.count)
+            return;
+        const std::size_t end = std::min(job.count, begin + job.chunk);
         const auto start = std::chrono::steady_clock::now();
         {
             obs::ScopedSpan span("engine.chunk", "engine");
-            body(chunk.begin, chunk.end, worker);
+            job.body(begin, end, worker);
         }
         stat.busySeconds += secondsSince(start);
-        stat.itemsProcessed += chunk.end - chunk.begin;
+        stat.itemsProcessed += end - begin;
     }
-}
-
-bool
-ThreadPool::popLocal(int worker, Chunk &out)
-{
-    auto &queue = *queues_[static_cast<std::size_t>(worker)];
-    util::MutexLock lock(queue.mutex);
-    if (queue.chunks.empty())
-        return false;
-    out = queue.chunks.front();
-    queue.chunks.pop_front();
-    return true;
-}
-
-bool
-ThreadPool::steal(int worker, Chunk &out)
-{
-    const auto n = queues_.size();
-    for (std::size_t offset = 1; offset < n; ++offset) {
-        const std::size_t victim =
-            (static_cast<std::size_t>(worker) + offset) % n;
-        auto &queue = *queues_[victim];
-        util::MutexLock lock(queue.mutex);
-        if (queue.chunks.empty())
-            continue;
-        out = queue.chunks.back();
-        queue.chunks.pop_back();
-        stats_[static_cast<std::size_t>(worker)].chunksStolen += 1;
-        obs::instant("engine.steal", "engine");
-        return true;
-    }
-    return false;
 }
 
 } // namespace dronedse::engine

@@ -1,14 +1,17 @@
 /**
  * @file
- * Work-stealing thread pool for batch design-space sweeps.
+ * Self-scheduling thread pool for batch design-space sweeps.
  *
  * The pool owns N-1 persistent workers; the caller participates as
  * worker 0, so a single-threaded pool runs entirely inline and a
- * sweep on a one-core host costs no context switches.  `parallelFor`
- * partitions an index range into chunks, deals them round-robin onto
- * per-worker deques, and lets idle workers steal from the back of a
- * victim's deque.  Because callers write results into pre-allocated
- * slots indexed by grid position, the steal order never affects the
+ * sweep on a one-core host costs no context switches.  Each
+ * `parallelForChunks` call is one job with its own chunk cursor:
+ * the caller and any idle workers claim `[next, next + chunk)`
+ * ranges from it with one atomic add until the range is exhausted.
+ * Several callers may run jobs on one pool at once; idle workers
+ * help the oldest job that still has unclaimed chunks.  Because
+ * callers write results into pre-allocated slots indexed by grid
+ * position, which worker claims which chunk never affects the
  * output — that is the engine's determinism contract (DESIGN.md §9).
  *
  * This is pool plumbing, not model code: indices and timings are raw
@@ -21,9 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -31,20 +32,18 @@
 
 namespace dronedse::engine {
 
-/** Per-worker accounting of one `parallelFor` run. */
+/** Per-worker accounting of one job. */
 struct WorkerStats
 {
-    /** Grid points this worker solved. */
+    /** Indices this worker processed. */
     std::uint64_t itemsProcessed = 0;
-    /** Chunks stolen from other workers' deques. */
-    std::uint64_t chunksStolen = 0;
     /** Time spent inside the loop body, seconds. */
     double busySeconds = 0.0;
 };
 
 /**
- * A fixed-size work-stealing pool.  Safe to reuse across many
- * `parallelFor` calls; the workers sleep between jobs.
+ * A fixed-size pool that runs any number of concurrent jobs.  Safe
+ * to reuse across many calls; the workers sleep between jobs.
  */
 class ThreadPool
 {
@@ -59,80 +58,47 @@ class ThreadPool
     int threadCount() const { return static_cast<int>(workers_.size()) + 1; }
 
     /**
-     * Run `body(index, worker)` for every index in [0, count),
-     * blocking until all indices are done.  Chunks of `chunk_size`
-     * consecutive indices are dealt round-robin across workers;
-     * `chunk_size` 0 picks a size that gives each worker ~4 chunks.
+     * Run `body(begin, end, worker)` over [0, count) in chunks of
+     * `chunk_size` consecutive indices, blocking until every chunk
+     * is done; `chunk_size` 0 picks a size that gives each worker
+     * ~4 chunks.  A chunk body can hand the whole [begin, end) range
+     * to the SoA batch solver in one call.
      *
-     * The body must be safe to call concurrently from different
-     * workers on different indices.  Per-worker stats for this run
-     * are available from `lastRunStats()` afterwards.
+     * The body must be safe to call concurrently on different
+     * ranges.  `worker` is unique among the threads inside this job
+     * (the caller is 0), not across concurrent jobs.  Returns this
+     * job's stats, one entry per worker.
      */
-    void parallelFor(std::size_t count, std::size_t chunk_size,
-                     const std::function<void(std::size_t, int)> &body);
-
-    /**
-     * Chunk-granular variant: run `body(begin, end, worker)` once
-     * per dealt/stolen chunk instead of once per index.  This is the
-     * engine's batching hook — a chunk body can hand the whole
-     * [begin, end) range to the SoA batch solver in one call.  Same
-     * dealing, stealing, stats, and blocking semantics as
-     * `parallelFor` (which is implemented on top of this).
-     */
-    void parallelForChunks(
+    std::vector<WorkerStats> parallelForChunks(
         std::size_t count, std::size_t chunk_size,
-        const std::function<void(std::size_t, std::size_t, int)> &body);
+        const std::function<void(std::size_t, std::size_t, int)> &body)
+        DDSE_EXCLUDES(jobMutex_);
 
-    /**
-     * Stats of the most recent `parallelFor`, one entry per worker.
-     * Only meaningful between jobs: each slot is written exclusively
-     * by its owning worker during a run (indexed-slot discipline,
-     * not a mutex), and `parallelFor` does not return until every
-     * worker has quiesced.
-     */
-    const std::vector<WorkerStats> &lastRunStats() const
-    {
-        return stats_;
-    }
+    /** Per-index form: `body(index, worker)` for every index. */
+    void parallelFor(std::size_t count, std::size_t chunk_size,
+                     const std::function<void(std::size_t, int)> &body)
+        DDSE_EXCLUDES(jobMutex_);
 
   private:
-    struct Chunk
-    {
-        std::size_t begin = 0;
-        std::size_t end = 0;
-    };
-
-    /** One worker's chunk deque; owner pops front, thieves pop back. */
-    struct WorkQueue
-    {
-        util::Mutex mutex;
-        std::deque<Chunk> chunks DDSE_GUARDED_BY(mutex);
-    };
-
-    /** Internal job unit: a chunk-range body. */
-    using Body = std::function<void(std::size_t, std::size_t, int)>;
+    struct Job;
 
     void workerLoop(int worker) DDSE_EXCLUDES(jobMutex_);
-    /** Drain chunks with an explicit body: no racy `body_` reads. */
-    void runWorker(int worker, const Body &body);
-    bool popLocal(int worker, Chunk &out);
-    bool steal(int worker, Chunk &out);
+    /** Oldest listed job with unclaimed chunks, or null. */
+    Job *claimableJob() const DDSE_REQUIRES(jobMutex_);
+    /** Claim and run chunks of `job` until its cursor passes the end. */
+    static void drain(Job &job, int worker);
 
     std::vector<std::thread> workers_;
-    std::vector<std::unique_ptr<WorkQueue>> queues_;
-    /** Per-worker slots, owned by their worker during a run. */
-    std::vector<WorkerStats> stats_;
 
-    // Job hand-off: generation bumps when a new job is published;
-    // workers wake, snapshot `body_` under the mutex, drain the
-    // queues, and the last one to finish signals completion.
+    // Jobs are listed oldest first while their caller drains them;
+    // a worker counts itself into a job under the mutex, and the
+    // caller unlinks its job and waits for that count to reach 0
+    // before the stack-local job goes away.
     util::Mutex jobMutex_;
     util::CondVar jobReady_;
     util::CondVar jobDone_;
-    std::uint64_t generation_ DDSE_GUARDED_BY(jobMutex_) = 0;
-    int activeWorkers_ DDSE_GUARDED_BY(jobMutex_) = 0;
+    std::vector<Job *> jobs_ DDSE_GUARDED_BY(jobMutex_);
     bool shutdown_ DDSE_GUARDED_BY(jobMutex_) = false;
-    const Body *body_ DDSE_GUARDED_BY(jobMutex_) = nullptr;
 };
 
 } // namespace dronedse::engine

@@ -13,7 +13,7 @@
  * outcome is a regression artifact, not a statistic.
  *
  * `runScenarioBattery` fans a scenario list across the engine's
- * work-stealing pool; results are written to per-scenario slots, so
+ * thread pool; results are written to per-scenario slots, so
  * the battery is bit-identical at any thread count (the engine's
  * determinism contract, DESIGN.md section 9).
  */

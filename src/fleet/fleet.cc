@@ -642,10 +642,10 @@ runFleetImpl(const FleetSpec &spec, int jobs,
     } else {
         const CompiledMission mission =
             compileMission(spec.mission);
-        // Lane-block chunks: the pool deals [begin, end) ranges;
+        // Lane-block chunks: the pool hands out [begin, end) ranges;
         // each chunk is stepped as blocks of kFleetLaneWidth.
         // Per-drone results depend only on (fleetSeed, logical
-        // index, scenario), so any chunking/stealing/order is
+        // index, scenario), so any chunking or claim order is
         // byte-identical.
         pool.parallelForChunks(
             total, 0,

@@ -153,9 +153,10 @@ TEST(SweepEngine, SolveMatchesSolveDesign)
 
 TEST(SweepEngine, ConcurrentRunsMatchSerial)
 {
-    // Two clients share one 2-thread engine.  Only the solve holds
-    // the engine lock; expansion and the frontier run concurrently,
-    // so each result must still be its own spec's serial sweep.
+    // Two clients share one 2-thread engine.  Their solves are
+    // concurrent jobs on one pool, and expansion and the frontier run
+    // alongside them, so each result must still be its own spec's
+    // serial sweep.
     const std::vector<SweepSpec> specs{
         fig10MediumGrid(),
         classSweepSpec(classSpec(SizeClass::Small), {1, 2, 3, 4},
