@@ -10,11 +10,12 @@
  * wide space adaptively (its grid is too large to solve
  * exhaustively, which is the point of the subsystem).
  *
- * Emits `BENCH_explore.json` with the full fidelity-vs-evaluations
- * series plus `explore_fidelity.csv` for plotting.  Each budget gets
- * a fresh engine.
+ * Writes the fidelity-vs-evaluations series, wall time included, to
+ * `explore_fidelity.csv`.  Each budget gets a fresh engine.  The
+ * repeated driver timing and recall are perfbench's
+ * `explore.driver_s` and `explore.frontier_recall`.
  *
- * Usage: explore_frontier [--output PATH] [--csv-dir DIR]
+ * Usage: explore_frontier [--csv-dir DIR]
  */
 
 #include <chrono>
@@ -107,19 +108,15 @@ scoreAgainstOracle(const ExploreResult &result,
 int
 main(int argc, char **argv)
 {
-    std::string out_path = "BENCH_explore.json";
     std::string csv_dir = ".";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--csv-dir") == 0 &&
-                   i + 1 < argc) {
+        if (std::strcmp(argv[i], "--csv-dir") == 0 && i + 1 < argc) {
             csv_dir = argv[++i];
         } else {
             fatal(std::string("explore_frontier: unknown argument "
                               "'") +
                   argv[i] + "' (usage: explore_frontier "
-                            "[--output PATH] [--csv-dir DIR])");
+                            "[--csv-dir DIR])");
         }
     }
 
@@ -150,19 +147,11 @@ main(int argc, char **argv)
                 "%zu\n",
                 oracle_seconds, grid, oracle_frontier.size());
 
-    std::string json = "{\"bench\": \"explore_frontier\"";
-    json += ", \"space_points\": " + std::to_string(grid);
-    json += ", \"oracle_frontier\": " +
-            std::to_string(oracle_frontier.size());
-    json += ", \"oracle_seconds\": " + num(oracle_seconds);
-    json += ", \"series\": [";
-
     CsvWriter csv({"budget_fraction", "budget", "evaluations",
                    "rounds", "wall_seconds", "frontier_size",
                    "matched", "missing", "false_positives",
                    "fidelity"});
 
-    bool first = true;
     for (const double fraction : {0.01, 0.025, 0.05, 0.075, 0.10}) {
         const auto budget = static_cast<std::size_t>(
             static_cast<double>(grid) * fraction);
@@ -184,24 +173,6 @@ main(int argc, char **argv)
                     result.rounds.size(), fidelity, score.missing,
                     score.falsePositives);
 
-        if (!first)
-            json += ", ";
-        first = false;
-        json += "{\"budget_fraction\": " + num(fraction);
-        json += ", \"budget\": " + std::to_string(budget);
-        json += ", \"evaluations\": " +
-                std::to_string(result.evaluations());
-        json += ", \"rounds\": " +
-                std::to_string(result.rounds.size());
-        json += ", \"wall_seconds\": " + num(seconds);
-        json += ", \"frontier_size\": " +
-                std::to_string(result.frontier.size());
-        json += ", \"matched\": " + std::to_string(score.matched);
-        json += ", \"missing\": " + std::to_string(score.missing);
-        json += ", \"false_positives\": " +
-                std::to_string(score.falsePositives);
-        json += ", \"fidelity\": " + num(fidelity) + "}";
-
         csv.addRow({num(fraction), std::to_string(budget),
                     std::to_string(result.evaluations()),
                     std::to_string(result.rounds.size()),
@@ -212,7 +183,6 @@ main(int argc, char **argv)
                     std::to_string(score.falsePositives),
                     num(fidelity)});
     }
-    json += "]";
 
     // The six-axis wide space: too large to grid, adaptive-only.
     {
@@ -229,25 +199,9 @@ main(int argc, char **argv)
                     "points, frontier %zu\n",
                     seconds, result.evaluations(),
                     wide.pointCount(), result.frontier.size());
-        json += ", \"wide6\": {\"space_points\": " +
-                std::to_string(wide.pointCount());
-        json += ", \"evaluations\": " +
-                std::to_string(result.evaluations());
-        json += ", \"rounds\": " +
-                std::to_string(result.rounds.size());
-        json += ", \"frontier_size\": " +
-                std::to_string(result.frontier.size());
-        json += ", \"wall_seconds\": " + num(seconds) + "}";
     }
-    json += "}";
 
-    std::FILE *out = std::fopen(out_path.c_str(), "w");
-    if (!out)
-        fatal("explore_frontier: cannot open '" + out_path + "'");
-    std::fprintf(out, "%s\n", json.c_str());
-    std::fclose(out);
     csv.write(csv_dir + "/explore_fidelity.csv");
-    std::printf("\nwrote %s and %s/explore_fidelity.csv\n",
-                out_path.c_str(), csv_dir.c_str());
+    std::printf("\nwrote %s/explore_fidelity.csv\n", csv_dir.c_str());
     return 0;
 }

@@ -1,14 +1,19 @@
 /**
  * @file
  * google-benchmark timings of the library's hot kernels: the DSE
- * weight-closure solve, FAST detection, BRIEF description, Hamming
+ * weight-closure solve, the scalar-vs-batch solver ratio, FAST
+ * detection, BRIEF description, Hamming
  * matching, PnP, bundle adjustment, EKF update, the quadrotor
  * physics step, and the cache-simulator step.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <vector>
+
 #include "control/ekf.hh"
+#include "dse/batch_solve.hh"
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "slam/ba.hh"
@@ -44,6 +49,44 @@ BM_ClassSweep(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ClassSweep);
+
+/**
+ * The flat Fig 10 grid (all three size classes, both chips, both
+ * activities, cells 1-6) solved single-threaded by a `solveDesign`
+ * loop (Arg 0) and by `solveDesignBatch` (Arg 1): the ratio is the
+ * SoA kernel's compute win with no engine around it (DESIGN.md §15).
+ */
+void
+BM_Fig10GridSolve(benchmark::State &state)
+{
+    std::vector<DesignInputs> grid;
+    for (SizeClass cls :
+         {SizeClass::Small, SizeClass::Medium, SizeClass::Large}) {
+        SweepSpec spec = classSweepSpec(classSpec(cls),
+                                        {1, 2, 3, 4, 5, 6}, 100.0_mah,
+                                        basicChip3W());
+        spec.boards = {advancedChip20W(), basicChip3W()};
+        spec.activities = {FlightActivity::Hovering,
+                           FlightActivity::Maneuvering};
+        const std::vector<DesignInputs> points = expandGrid(spec);
+        grid.insert(grid.end(), points.begin(), points.end());
+    }
+    std::vector<DesignResult> out(grid.size());
+    const bool batch = state.range(0) != 0;
+    for (auto _ : state) {
+        if (batch) {
+            solveDesignBatch(std::span<const DesignInputs>(grid),
+                             std::span<DesignResult>(out));
+        } else {
+            for (std::size_t i = 0; i < grid.size(); ++i)
+                out[i] = solveDesign(grid[i]);
+        }
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(grid.size()));
+}
+BENCHMARK(BM_Fig10GridSolve)->Arg(0)->Arg(1);
 
 void
 BM_FastDetect(benchmark::State &state)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Instrumentation of one engine sweep: throughput and per-thread
- * utilization, with a JSON dump for the bench trajectory
- * (`BENCH_sweep.json`).
+ * utilization, with a JSON dump (`design_explorer` prints it for its
+ * last sweep).
  *
  * Header-only on purpose: the fields are the raw counters the pool
  * already maintains; this file only names and serializes them.

@@ -16,7 +16,7 @@
  *
  * Replies are routed by connection id and carry the request id, so
  * pipelined requests on one connection may complete out of order —
- * clients correlate by id (the loadgen does exactly this).
+ * clients correlate by id.
  * Everything is plain blocking-free POSIX: no external deps, and
  * the event loop survives slow readers by buffering per-connection
  * output and enabling POLLOUT only while a backlog exists.

@@ -4,7 +4,7 @@
  *
  * One serialization home (with util/csv's RFC-4180 pair) for every
  * boundary that speaks text: the serve wire protocol, obs metric
- * snapshots, engine sweep stats, and the bench JSON trajectories.
+ * snapshots, and engine sweep stats.
  * The writer helpers (`jsonQuote`, `jsonNumber`) are the former
  * private copies from obs/metrics.cc and engine/stats.hh, promoted
  * so the emitted spellings cannot drift apart; the reader is a

@@ -320,30 +320,77 @@ TEST(ServeServer, TcpRoundTripMatchesOracle)
 
 TEST(ServeServer, ConcurrentClientsGetConsistentReplies)
 {
+    // Closed-loop clients against a wide-open admission controller
+    // (the default 2,000/s rate would shed this traffic): every
+    // reply must equal its serial oracle byte for byte, and a shed
+    // reply counts as a failure.
     ServerOptions options;
     options.service.engine.threads = 2;
-    options.workers = 2;
+    options.service.admission.interactive = {1e9, 1e9};
+    options.service.admission.batch = {1e9, 1e9};
+    options.service.admission.queueCapacity = 8192;
+    options.workers = 4;
     Server server{options};
     const std::uint16_t port = server.start();
 
-    constexpr int kClients = 4;
+    // 240 distinct design points spanning the small/medium envelope,
+    // each with its plain `solveDesign` reply.
+    std::vector<std::string> frames;
+    std::vector<std::string> expected;
+    for (double wheelbase : {250.0, 330.0, 450.0, 600.0})
+        for (int cells : {2, 3, 4, 5, 6})
+            for (double capacity :
+                 {1500.0, 2200.0, 3000.0, 4000.0, 5200.0, 6600.0})
+                for (double twr : {2.0, 3.0}) {
+                    Request request =
+                        designRequest(frames.size(), capacity);
+                    request.point.wheelbaseMm =
+                        Quantity<Millimeters>(wheelbase);
+                    request.point.cells = cells;
+                    request.point.twr = twr;
+                    frames.push_back(serializeRequest(request));
+                    expected.push_back(serializeDesignReply(
+                        request.id, solveDesign(request.point)));
+                }
+
+    // One sweep frame per client against the serial sweep and the
+    // pairwise frontier.
+    Request sweep;
+    sweep.kind = QueryKind::Sweep;
+    sweep.spec = smallSpec();
+    sweep.spec.airframes = {
+        SweepAirframe{Quantity<Millimeters>(250.0),
+                      Quantity<Inches>(0.0)},
+        SweepAirframe{Quantity<Millimeters>(450.0),
+                      Quantity<Inches>(0.0)}};
+    sweep.spec.capacityHiMah = Quantity<MilliampHours>(5000.0);
+    const std::vector<DesignResult> points = runSweepSerial(sweep.spec);
+    std::size_t feasible = 0;
+    for (const DesignResult &p : points)
+        feasible += p.feasible ? 1 : 0;
+    const std::vector<std::size_t> frontier =
+        pareto_oracle::pairwiseFrontier(points);
+
+    constexpr int kClients = 8;
+    constexpr std::size_t kDesignFrames = 2000;
     std::vector<std::thread> threads;
     std::vector<int> failures(kClients, 0);
     for (int c = 0; c < kClients; ++c)
         threads.emplace_back([&, c] {
+            const auto client_index = static_cast<std::size_t>(c);
             TestClient client{port};
-            for (std::uint64_t id = 0; id < 50; ++id) {
-                const Request request = designRequest(
-                    id, 1500.0 + 100.0 * static_cast<double>(
-                                     (id + static_cast<std::uint64_t>(
-                                               c)) %
-                                     20));
-                const std::string expected = serializeDesignReply(
-                    request.id, solveDesign(request.point));
-                if (client.roundTrip(serializeRequest(request)) !=
-                    expected)
-                    ++failures[static_cast<std::size_t>(c)];
+            for (std::size_t i = client_index; i < kDesignFrames;
+                 i += kClients) {
+                const std::size_t slot = i % frames.size();
+                if (client.roundTrip(frames[slot]) != expected[slot])
+                    ++failures[client_index];
             }
+            Request own = sweep;
+            own.id = 100000 + client_index;
+            if (client.roundTrip(serializeRequest(own)) !=
+                serializeSweepReply(own.id, points, feasible,
+                                    frontier))
+                ++failures[client_index];
         });
     for (std::thread &t : threads)
         t.join();
