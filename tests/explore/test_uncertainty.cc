@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -147,6 +150,83 @@ TEST(Uncertainty, DistributionBracketsTheNominalSolve)
               res.nominal.flightTimeMin.value());
     EXPECT_LT(res.totalWeightG.min(), res.nominal.totalWeightG.value());
     EXPECT_GT(res.totalWeightG.max(), res.nominal.totalWeightG.value());
+}
+
+/** Raw bits of a double, so a pin fails on any changed ulp. */
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/** The 0.05/0.5/0.95 quantiles of one ECDF, as bit patterns. */
+using QuantileBits = std::array<std::uint64_t, 3>;
+
+QuantileBits
+quantileBits(const Ecdf &ecdf)
+{
+    return {bitsOf(ecdf.quantile(0.05)), bitsOf(ecdf.quantile(0.5)),
+            bitsOf(ecdf.quantile(0.95))};
+}
+
+TEST(Uncertainty, PerturbedSolvesArePinnedBitForBit)
+{
+    // Pins the values of the perturbed-model path itself: seed 17,
+    // 256 samples, the default 64 scatter replicates.  The literals
+    // are the solver's output before the perturbed closure and the
+    // nominal one were merged into one function, so any reordered
+    // operation in the closure shows up here.
+    struct Pin
+    {
+        const char *name;
+        DesignInputs point;
+        bool nominalFeasible;
+        std::size_t feasibleSamples;
+        QuantileBits flight;
+        QuantileBits weight;
+    };
+    DesignInputs four_cell = referencePoint();
+    four_cell.cells = 4;
+    four_cell.capacityMah = 2000.0_mah;
+    // C-rating infeasible at the paper fits; the perturbed fits
+    // rescue a minority of the samples.
+    DesignInputs tiny_pack = referencePoint();
+    tiny_pack.wheelbaseMm = 200.0_mm;
+    tiny_pack.cells = 4;
+    tiny_pack.capacityMah = 100.0_mah;
+    const Pin pins[] = {
+        {"450mm reference", referencePoint(), true, 256,
+         {0x40316cbe2561bf1cULL, 0x40332cdd70878045ULL,
+          0x403550e784653a57ULL},
+         {0x40906891c6dfb49dULL, 0x4091a276e360dd00ULL,
+          0x4092d2eb4ed8752eULL}},
+        {"4S 2000 mAh", four_cell, true, 256,
+         {0x4028241c048ebfc6ULL, 0x402b437e8e3a1f83ULL,
+          0x402e9e51cab4f1afULL},
+         {0x408ac268e004c85eULL, 0x408cfaeebeb10b08ULL,
+          0x408f800d6ccf81e8ULL}},
+        {"nominally infeasible", tiny_pack, false, 105,
+         {0x3ffe029616815a21ULL, 0x40004c56e79724d3ULL,
+          0x4004758e0cc87d03ULL},
+         {0x406c97d0b347aa86ULL, 0x4070e7dc37d596c3ULL,
+          0x4071f3950fe6d33fULL}},
+    };
+
+    UncertaintyOptions options;
+    options.seed = 17;
+    options.samples = 256;
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        const UncertaintyResult res =
+            propagateUncertainty(pin.point, options);
+        EXPECT_EQ(res.nominal.feasible, pin.nominalFeasible);
+        EXPECT_EQ(res.feasibleSamples, pin.feasibleSamples);
+        ASSERT_FALSE(res.flightTimeMin.empty());
+        EXPECT_EQ(quantileBits(res.flightTimeMin), pin.flight);
+        EXPECT_EQ(quantileBits(res.totalWeightG), pin.weight);
+    }
 }
 
 TEST(Gates, NameRoundTrips)
