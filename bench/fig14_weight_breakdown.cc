@@ -28,7 +28,7 @@ main()
                 "(450 mm, 3S 3000 mAh, RPi + Navio2):\n\n");
     const DesignResult res = solveDesign(ourDroneInputs());
     if (!res.feasible) {
-        std::printf("INFEASIBLE: %s\n", res.infeasibleReason.c_str());
+        std::printf("INFEASIBLE: %s\n", enumName(res.infeasibleReason));
         return 1;
     }
     Table m({"component", "model (g)", "build (g)"});

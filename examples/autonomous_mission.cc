@@ -55,7 +55,7 @@ main(int argc, char **argv)
     const DesignResult design = solveDesign(ourDroneInputs());
     if (!design.feasible) {
         std::printf("design infeasible: %s\n",
-                    design.infeasibleReason.c_str());
+                    enumName(design.infeasibleReason));
         return 1;
     }
     const QuadrotorParams airframe = QuadrotorParams::fromDesign(design);

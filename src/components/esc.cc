@@ -20,11 +20,16 @@ paperEscFit(EscClass esc_class)
 }
 
 Quantity<Grams>
+escSetWeightG(Quantity<Amperes> max_current, const LinearFit &fit)
+{
+    // Tiny ESCs bottom out around 10 g for the set of four.
+    return Quantity<Grams>(std::max(fit.at(max_current.value()), 10.0));
+}
+
+Quantity<Grams>
 escSetWeightG(Quantity<Amperes> max_current, EscClass esc_class)
 {
-    const double w = paperEscFit(esc_class).at(max_current.value());
-    // Tiny ESCs bottom out around 10 g for the set of four.
-    return Quantity<Grams>(std::max(w, 10.0));
+    return escSetWeightG(max_current, paperEscFit(esc_class));
 }
 
 std::vector<EscRecord>

@@ -58,8 +58,12 @@ LinearFit paperEscFit(EscClass esc_class);
 
 /**
  * Weight of four ESCs rated for the given per-ESC continuous
- * current, from the published fit (clamped to be non-negative).
+ * current, from `fit`, with a 10 g floor for the set.
  */
+Quantity<Grams> escSetWeightG(Quantity<Amperes> max_current,
+                              const LinearFit &fit);
+
+/** `escSetWeightG` at the published fit of `esc_class`. */
 Quantity<Grams> escSetWeightG(Quantity<Amperes> max_current,
                               EscClass esc_class = EscClass::LongFlight);
 

@@ -18,13 +18,12 @@ paperFrameFit()
 }
 
 Quantity<Grams>
-frameWeightG(Quantity<Millimeters> wheelbase)
+frameWeightG(const LinearFit &fit, Quantity<Millimeters> wheelbase)
 {
     const double wheelbase_mm = wheelbase.value();
     if (wheelbase_mm <= 0.0)
         fatal("frameWeightG: wheelbase must be positive");
 
-    const LinearFit fit = paperFrameFit();
     if (wheelbase_mm > 200.0)
         return Quantity<Grams>(fit.at(wheelbase_mm));
 
@@ -34,6 +33,12 @@ frameWeightG(Quantity<Millimeters> wheelbase)
     const double boundary = fit.at(200.0);
     const double t = std::clamp((wheelbase_mm - 50.0) / 150.0, 0.0, 1.0);
     return Quantity<Grams>(50.0 + t * (boundary - 50.0));
+}
+
+Quantity<Grams>
+frameWeightG(Quantity<Millimeters> wheelbase)
+{
+    return frameWeightG(paperFrameFit(), wheelbase);
 }
 
 Quantity<Inches>

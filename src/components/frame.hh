@@ -34,9 +34,13 @@ struct FrameRecord
 LinearFit paperFrameFit();
 
 /**
- * Frame weight at a given wheelbase: the published fit above
- * 200 mm, a linear ramp through the paper's 50-200 g band below it.
+ * Frame weight at a given wheelbase: `fit` above 200 mm, a linear
+ * ramp through the paper's 50-200 g band below it.
  */
+Quantity<Grams> frameWeightG(const LinearFit &fit,
+                             Quantity<Millimeters> wheelbase);
+
+/** `frameWeightG` at the published fit. */
 Quantity<Grams> frameWeightG(Quantity<Millimeters> wheelbase);
 
 /**

@@ -45,7 +45,6 @@ matchMotor(Quantity<GramsForce> required_thrust,
         motorCurrentA(required_thrust, prop_diameter, supply_voltage)
             .value();
     rec.weightG = motorWeightG(required_thrust).value();
-    rec.name = motorName(rec.kv, prop_diameter);
     return rec;
 }
 

@@ -26,7 +26,6 @@ namespace dronedse {
  */
 struct MotorRecord
 {
-    std::string name;
     /** Kv rating: no-load RPM per volt. */
     double kv = 0.0;
     /** Motor weight (g). */
@@ -64,7 +63,7 @@ struct MotorRecord
 Quantity<Grams> motorWeightG(Quantity<GramsForce> max_thrust);
 
 /**
- * The record name "BLDC-<Kv>Kv-<prop>in", both values truncated to
+ * A motor's display name "BLDC-<Kv>Kv-<prop>in", both values truncated to
  * whole numbers (saturating, so a degenerate Kv past INT_MAX stays
  * defined).
  */

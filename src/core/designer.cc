@@ -17,12 +17,16 @@ DesignReport::str() const
            " mm wheelbase, " + std::to_string(result.inputs.cells) +
            "S " + fmt(result.inputs.capacityMah.value(), 0) + " mAh\n";
     if (!result.feasible) {
-        out += "  INFEASIBLE: " + result.infeasibleReason + "\n";
+        out += std::string("  INFEASIBLE: ") +
+               enumName(result.infeasibleReason) + "\n";
         return out;
     }
     out += "  all-up weight:    " + fmt(result.totalWeightG.value(), 0) +
            " g\n";
-    out += "  motor:            " + result.motor.name + " (" +
+    out += "  motor:            " +
+           motorName(result.motor.kv,
+                     Quantity<Inches>(result.motor.propDiameterIn)) +
+           " (" +
            fmt(result.motorMaxCurrentA.value(), 1) + " A max)\n";
     out += "  avg power:        " + fmt(result.avgPowerW.value(), 1) +
            " W\n";

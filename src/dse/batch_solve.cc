@@ -3,14 +3,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <string>
 
-#include "components/battery.hh"
-#include "components/esc.hh"
-#include "components/frame.hh"
-#include "components/propeller.hh"
 #include "dse/weight_closure.hh"
-#include "physics/lipo.hh"
 #include "physics/propeller_aero.hh"
 #include "util/logging.hh"
 #include "util/units.hh"
@@ -43,18 +37,22 @@ struct BlockState
     std::array<double, kW> escSlope;     // Figure 8a fit slope
     std::array<double, kW> escIntercept; // Figure 8a fit intercept
     // Kernel values of the lane's most recent active iteration; on
-    // convergence these are exactly the scalar path's final motor
-    // match and ESC weight.
+    // convergence these are exactly the scalar loop's final motor
+    // match.
     std::array<double, kW> lastThrust;
     std::array<double, kW> lastKv;
     std::array<double, kW> lastCurrent;
     std::array<double, kW> lastMotorW;
-    std::array<double, kW> lastEscW;
     std::array<std::uint8_t, kW> active;
     std::array<std::uint8_t, kW> converged;
+    // Per-lane scalar setup, read again by the epilogue.
+    std::array<ClosureSetup, kW> setup;
 };
 
-/** Lanes past the batch edge still execute; keep their math benign. */
+/**
+ * Every lane starts padded: lanes past the batch edge, and lanes
+ * finished in the prologue, still execute; keep their math benign.
+ */
 void
 padLane(BlockState &st, std::size_t l)
 {
@@ -71,138 +69,57 @@ padLane(BlockState &st, std::size_t l)
     st.lastKv[l] = 0.0;
     st.lastCurrent[l] = 0.0;
     st.lastMotorW[l] = 0.0;
-    st.lastEscW[l] = 10.0;
     st.active[l] = 0;
     st.converged[l] = 0;
 }
 
 /**
- * Scalar prologue of one lane: validation and the thrust-independent
- * weights, via the same component models `solveDesign` calls.
- * Returns false when the lane is finished before iterating (invalid
- * inputs — result already carries the scalar path's reason string).
+ * Scalar prologue of one padded lane: `setupClosure`, then the
+ * lane's loop invariants.  Returns false when the lane is finished
+ * before iterating (the result already carries its verdict).
  */
 bool
 setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
           std::size_t l)
 {
-    res = DesignResult{}; // output buffers may be reused across calls
-    res.inputs = in;
-
-    if (in.cells < kMinCells || in.cells > kMaxCells) {
-        res.infeasibleReason = "cell count out of range";
+    ClosureSetup &setup = st.setup[l];
+    if (!setupClosure(in, SurveyModel::paper(), res, setup))
         return false;
-    }
-    if (in.capacityMah.value() <= 0.0 || in.twr < 1.0 ||
-        in.wheelbaseMm.value() <= 0.0) {
-        res.infeasibleReason = "invalid capacity, TWR, or wheelbase";
-        return false;
-    }
 
-    const Quantity<Inches> prop = in.propDiameterIn.value() > 0.0
-                                      ? in.propDiameterIn
-                                      : maxPropDiameterIn(in.wheelbaseMm);
-    const Quantity<Volts> voltage = lipoPackVoltage(in.cells);
-
-    res.frameWeightG = frameWeightG(in.wheelbaseMm);
-    res.batteryWeightG = batteryWeightG(in.cells, in.capacityMah);
-    res.propSetWeightG = propellerSetWeightG(prop);
-    res.wiringWeightG = wiringWeightG(res.frameWeightG);
-    const Quantity<Grams> fixed_weight =
-        res.frameWeightG + res.batteryWeightG + res.propSetWeightG +
-        res.wiringWeightG + Quantity<Grams>(in.compute.weightG) +
-        in.sensorWeightG + in.payloadG;
-
-    st.fixedW[l] = fixed_weight.value();
+    st.fixedW[l] = setup.fixedWeight.value();
     st.total[l] = st.fixedW[l];
     st.twrQuarter[l] = in.twr / 4.0;
-    // The scalar path would abort inside matchMotor on the first
-    // iteration; keep the failure mode (and message) identical.
-    if (weightForce(fixed_weight).value() * st.twrQuarter[l] <= 0.0)
-        fatal("matchMotor: required thrust must be positive");
-
-    const double d_m = inchesToMeters(prop).value();
+    const double d_m = inchesToMeters(setup.prop).value();
     st.propDm[l] = d_m;
     st.thrustDenom[l] =
         kThrustCoefficient * kAirDensity * d_m * d_m * d_m * d_m;
-    st.volt[l] = voltage.value();
-    st.kvDenom[l] = kLoadedRpmFraction * voltage.value();
-    const LinearFit esc_fit = paperEscFit(in.escClass);
-    st.escSlope[l] = esc_fit.slope;
-    st.escIntercept[l] = esc_fit.intercept;
-    st.lastThrust[l] = 1.0;
-    st.lastKv[l] = 0.0;
-    st.lastCurrent[l] = 0.0;
-    st.lastMotorW[l] = 0.0;
-    st.lastEscW[l] = 10.0;
+    st.volt[l] = setup.voltage.value();
+    st.kvDenom[l] = kLoadedRpmFraction * setup.voltage.value();
+    st.escSlope[l] = setup.escFit.slope;
+    st.escIntercept[l] = setup.escFit.intercept;
     st.active[l] = 1;
-    st.converged[l] = 0;
     return true;
 }
 
 /**
- * Scalar epilogue of one converged lane: Equations 3-6 and the
- * C-rating sanity check, written with the same typed expressions —
- * in the same order — as `solveDesign`.  The motor record (and its
- * name string) is built here, once, from the lane's final kernel
- * values.
+ * Scalar epilogue of one lane: the lane's final kernel values become
+ * the `WeightLoop` the scalar loop would have returned, and
+ * `finishClosure` does the rest.
  */
 void
 finishLane(const DesignInputs &in, DesignResult &res,
            const BlockState &st, std::size_t l)
 {
-    if (!st.converged[l]) {
-        res.infeasibleReason = "weight closure diverged";
-        return;
-    }
-
-    const Quantity<Inches> prop = in.propDiameterIn.value() > 0.0
-                                      ? in.propDiameterIn
-                                      : maxPropDiameterIn(in.wheelbaseMm);
-    const Quantity<Volts> voltage = lipoPackVoltage(in.cells);
-
-    MotorRecord motor;
-    motor.maxThrustG = st.lastThrust[l];
-    motor.propDiameterIn = prop.value();
-    motor.kv = st.lastKv[l];
-    motor.maxCurrentA = st.lastCurrent[l];
-    motor.weightG = st.lastMotorW[l];
-    motor.name = motorName(motor.kv, prop);
-
-    const Quantity<Grams> total{st.total[l]};
-    const Quantity<Grams> esc_w{st.lastEscW[l]};
-
-    res.totalWeightG = total;
-    res.motor = motor;
-    res.motorMaxCurrentA = motor.maxCurrent();
-    res.motorSetWeightG = 4.0 * motor.weight();
-    res.escSetWeightG = esc_w;
-    res.basicWeightG = total - res.batteryWeightG - res.motorSetWeightG -
-                       res.escSetWeightG;
-    res.extremeKv = motor.kv > kExtremeKvThreshold;
-
-    const double load = flyingLoadFraction(in.activity);
-    res.maxPowerW = 4.0 * (motor.maxCurrent() * voltage);
-    res.propulsionPowerW = res.maxPowerW * load;
-    res.computePowerW = Quantity<Watts>(in.compute.powerW);
-    res.sensorPowerW = in.sensorPowerW;
-    res.avgPowerW =
-        res.propulsionPowerW + res.computePowerW + res.sensorPowerW;
-
-    res.usableEnergyWh = usableEnergyWh(in.capacityMah, voltage);
-    res.flightTimeMin = wattHoursToMinutes(res.usableEnergyWh,
-                                           res.avgPowerW);
-    res.computePowerFraction = res.computePowerW / res.avgPowerW;
-
-    const Quantity<Amperes> max_current_needed = 4.0 * motor.maxCurrent();
-    const Quantity<Amperes> pack_limit =
-        (in.capacityMah * 80.0 / Quantity<Hours>(1.0)).to<Amperes>();
-    if (pack_limit < max_current_needed) {
-        res.infeasibleReason = "battery C-rating cannot supply max draw";
-        return;
-    }
-
-    res.feasible = true;
+    const ClosureSetup &setup = st.setup[l];
+    WeightLoop loop;
+    loop.motor.maxThrustG = st.lastThrust[l];
+    loop.motor.propDiameterIn = setup.prop.value();
+    loop.motor.kv = st.lastKv[l];
+    loop.motor.maxCurrentA = st.lastCurrent[l];
+    loop.motor.weightG = st.lastMotorW[l];
+    loop.totalWeight = Quantity<Grams>(st.total[l]);
+    loop.converged = st.converged[l] != 0;
+    finishClosure(in, setup, loop, res);
 }
 
 /** One block of up to `kBatchLaneWidth` designs, SoA fixed point. */
@@ -213,14 +130,9 @@ solveBlock(std::span<const DesignInputs> inputs,
     BlockState st;
     std::size_t n_active = 0;
     for (std::size_t l = 0; l < kW; ++l) {
-        if (l < inputs.size()) {
-            if (setupLane(inputs[l], results[l], st, l))
-                ++n_active;
-            else
-                st.active[l] = 0;
-        } else {
-            padLane(st, l);
-        }
+        padLane(st, l);
+        if (l < inputs.size() && setupLane(inputs[l], results[l], st, l))
+            ++n_active;
     }
 
     // Unit-conversion factors of the scalar path, taken from the same
@@ -259,7 +171,6 @@ solveBlock(std::span<const DesignInputs> inputs,
                 st.lastKv[l] = kv;
                 st.lastCurrent[l] = current;
                 st.lastMotorW[l] = motor_w;
-                st.lastEscW[l] = esc_w;
                 st.total[l] = new_total;
                 if (delta < 0.01) {
                     st.active[l] = 0;
@@ -276,8 +187,8 @@ solveBlock(std::span<const DesignInputs> inputs,
     // same verdict the scalar loop reaches by falling out of it.
 
     for (std::size_t l = 0; l < inputs.size(); ++l) {
-        if (!results[l].infeasibleReason.empty())
-            continue; // failed validation in the prologue
+        if (results[l].infeasibleReason != InfeasibleReason::None)
+            continue; // finished in the prologue
         finishLane(inputs[l], results[l], st, l);
     }
 }

@@ -4,25 +4,26 @@
  *
  * `solveDesign` resolves one design at a time: the Equations 1-2
  * weight closure iterates motor matching to a fixed point, and every
- * iteration of the scalar path re-derives the matched motor record —
- * including its heap-allocated name string — just to read four
- * doubles out of it.  Sweeps solve thousands of independent designs,
- * so the batch kernel turns the loop inside out: designs are laid
- * out in structure-of-arrays form across a lane-width block, the
- * fixed-point iteration becomes the *outer* loop, and the inner loop
- * walks the lanes with plain double arithmetic the compiler can
- * auto-vectorize.  Converged, diverged, and invalid lanes drop out
- * of the iteration via a per-lane active mask; the motor record (and
- * its string) is materialized once per design, after convergence.
+ * iteration of the scalar loop re-derives the matched motor record
+ * through the typed propulsion model.  Sweeps solve thousands of
+ * independent designs, so the batch kernel turns the loop inside
+ * out: designs are laid out in structure-of-arrays form across a
+ * lane-width block, the fixed-point iteration becomes the *outer*
+ * loop, and the inner loop walks the lanes with plain double
+ * arithmetic the compiler can auto-vectorize.  Converged, diverged,
+ * and invalid lanes drop out of the iteration via a per-lane active
+ * mask; the motor record is materialized once per design, after
+ * convergence.  Setup and finish are the scalar path's own
+ * `setupClosure` and `finishClosure` (weight_closure.hh).
  *
  * Bit-exactness contract: for every input, the batch result is
- * byte-identical to `solveDesign` — same doubles, same strings, same
- * feasibility verdicts.  The kernel replays the scalar path's exact
- * IEEE operation sequence (same association, divisions kept as
+ * byte-identical to `solveDesign` — same doubles, same feasibility
+ * verdicts.  The lane loop replays the scalar loop's exact IEEE
+ * operation sequence (same association, divisions kept as
  * divisions, conversion factors taken from the same `Quantity`
  * machinery), which is bit-preserving because the build never
- * enables -ffast-math or FMA contraction.  The scalar solver stays
- * untouched as the oracle; `tests/dse/test_batch_differential.cc`
+ * enables -ffast-math or FMA contraction.  The scalar
+ * `closeWeightLoop` is the oracle; `tests/dse/test_batch_differential.cc`
  * holds the two paths together over reference grids, random clouds,
  * and bisected feasibility boundaries (DESIGN.md §15).
  */

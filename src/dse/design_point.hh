@@ -21,6 +21,7 @@
 #include "components/esc.hh"
 #include "components/motor.hh"
 #include "physics/loads.hh"
+#include "util/enum_names.hh"
 #include "util/quantity.hh"
 
 namespace dronedse {
@@ -74,13 +75,39 @@ inline constexpr Quantity<Millimeters> kMaxWheelbase{2000.0};
  */
 std::string validateDesignInputs(const DesignInputs &inputs);
 
+/** Why a design point has no feasible closure. */
+enum class InfeasibleReason
+{
+    None,
+    CellCount,
+    InvalidInputs,
+    NonPositiveFixedWeight,
+    Diverged,
+    CRating,
+};
+
+/** Wire spellings, also the report text (util/enum_names.hh). */
+constexpr std::array<EnumName<InfeasibleReason>, 6>
+wireNames(InfeasibleReason)
+{
+    return {{{InfeasibleReason::None, ""},
+             {InfeasibleReason::CellCount, "cell count out of range"},
+             {InfeasibleReason::InvalidInputs,
+              "invalid capacity, TWR, or wheelbase"},
+             {InfeasibleReason::NonPositiveFixedWeight,
+              "fixed weight is not positive"},
+             {InfeasibleReason::Diverged, "weight closure diverged"},
+             {InfeasibleReason::CRating,
+              "battery C-rating cannot supply max draw"}}};
+}
+
 /** Resolved quantities of a design point (Equations 1-7). */
 struct DesignResult
 {
     /** False when the closure failed (e.g. runaway weight). */
     bool feasible = false;
-    /** Human-readable reason when infeasible. */
-    std::string infeasibleReason;
+    /** Why, when infeasible; `None` when feasible. */
+    InfeasibleReason infeasibleReason = InfeasibleReason::None;
 
     /** Echo of the inputs that produced this result. */
     DesignInputs inputs;

@@ -254,32 +254,21 @@ motorCurrentCurve(Quantity<Inches> prop_diameter, int cells,
     if (step.value() <= 0.0 || basic_hi < basic_lo)
         fatal("motorCurrentCurve: invalid weight range");
 
-    const Quantity<Volts> voltage = lipoPackVoltage(cells);
+    ClosureSetup setup;
+    setup.prop = prop_diameter;
+    setup.voltage = lipoPackVoltage(cells);
+    setup.escFit = paperEscFit(EscClass::LongFlight);
     std::vector<MotorCurrentPoint> out;
     for (Quantity<Grams> basic = basic_lo;
          basic <= basic_hi + Quantity<Grams>(1e-9); basic += step) {
         // Closure over motor and ESC mass only (battery excluded,
         // per the figure's basic-weight definition).
-        Quantity<Grams> total = basic;
-        MotorRecord motor;
-        bool converged = false;
-        for (int iter = 0; iter < 60; ++iter) {
-            const Quantity<GramsForce> thrust =
-                weightForce(total) * (twr / 4.0);
-            motor = matchMotor(thrust, prop_diameter, voltage);
-            const Quantity<Grams> esc_w = escSetWeightG(motor.maxCurrent());
-            const Quantity<Grams> new_total =
-                basic + 4.0 * motor.weight() + esc_w;
-            if (std::fabs((new_total - total).value()) < 0.01) {
-                converged = true;
-                break;
-            }
-            total = new_total;
-        }
-        if (!converged)
+        setup.fixedWeight = basic;
+        const WeightLoop loop = closeWeightLoop(setup, twr);
+        if (!loop.converged)
             continue;
-        out.push_back({basic, motor.maxCurrent(), motor.kv,
-                       motor.weight()});
+        out.push_back({basic, loop.motor.maxCurrent(), loop.motor.kv,
+                       loop.motor.weight()});
     }
     return out;
 }

@@ -7,7 +7,6 @@
 #include "components/propeller.hh"
 #include "physics/lipo.hh"
 #include "physics/propeller_aero.hh"
-#include "util/logging.hh"
 #include "util/units.hh"
 
 namespace dronedse {
@@ -18,76 +17,112 @@ wiringWeightG(Quantity<Grams> frame_weight)
     return Quantity<Grams>(20.0) + 0.15 * frame_weight;
 }
 
-DesignResult
-solveDesign(const DesignInputs &inputs)
+const SurveyModel &
+SurveyModel::paper()
 {
-    DesignResult res;
+    static const SurveyModel model = [] {
+        SurveyModel m;
+        for (int cells = kMinCells; cells <= kMaxCells; ++cells)
+            m.batteryFits[cells - 1] = paperBatteryFit(cells);
+        for (EscClass cls : {EscClass::ShortFlight, EscClass::LongFlight})
+            m.escFits[static_cast<int>(cls)] = paperEscFit(cls);
+        m.frameFit = paperFrameFit();
+        return m;
+    }();
+    return model;
+}
+
+bool
+setupClosure(const DesignInputs &inputs, const SurveyModel &model,
+             DesignResult &res, ClosureSetup &setup)
+{
+    res = DesignResult{}; // batch output buffers are reused
     res.inputs = inputs;
 
     if (inputs.cells < kMinCells || inputs.cells > kMaxCells) {
-        res.infeasibleReason = "cell count out of range";
-        return res;
+        res.infeasibleReason = InfeasibleReason::CellCount;
+        return false;
     }
     if (inputs.capacityMah.value() <= 0.0 || inputs.twr < 1.0 ||
         inputs.wheelbaseMm.value() <= 0.0) {
-        res.infeasibleReason = "invalid capacity, TWR, or wheelbase";
-        return res;
+        res.infeasibleReason = InfeasibleReason::InvalidInputs;
+        return false;
     }
 
-    const Quantity<Inches> prop = inputs.propDiameterIn.value() > 0.0
-                                      ? inputs.propDiameterIn
-                                      : maxPropDiameterIn(inputs.wheelbaseMm);
-    const Quantity<Volts> voltage = lipoPackVoltage(inputs.cells);
+    setup.prop = inputs.propDiameterIn.value() > 0.0
+                     ? inputs.propDiameterIn
+                     : maxPropDiameterIn(inputs.wheelbaseMm);
+    setup.voltage = lipoPackVoltage(inputs.cells);
+    setup.escFit = model.escFits[static_cast<int>(inputs.escClass)];
 
     // Weight components independent of the thrust requirement.
-    res.frameWeightG = frameWeightG(inputs.wheelbaseMm);
-    res.batteryWeightG = batteryWeightG(inputs.cells, inputs.capacityMah);
-    res.propSetWeightG = propellerSetWeightG(prop);
+    res.frameWeightG = frameWeightG(model.frameFit, inputs.wheelbaseMm);
+    res.batteryWeightG = Quantity<Grams>(
+        model.batteryFits[inputs.cells - 1].at(inputs.capacityMah.value()));
+    res.propSetWeightG = propellerSetWeightG(setup.prop);
     res.wiringWeightG = wiringWeightG(res.frameWeightG);
-    const Quantity<Grams> fixed_weight =
+    setup.fixedWeight =
         res.frameWeightG + res.batteryWeightG + res.propSetWeightG +
         res.wiringWeightG + Quantity<Grams>(inputs.compute.weightG) +
         inputs.sensorWeightG + inputs.payloadG;
 
-    // Equation 1/2 fixed point: motor and ESC weights depend on the
-    // thrust requirement, which depends on total weight.
-    Quantity<Grams> total = fixed_weight;
-    MotorRecord motor;
-    Quantity<Grams> esc_w{};
-    bool converged = false;
+    // A perturbed fit can leave nothing to lift; no motor matches a
+    // thrust requirement of zero or less.
+    if ((weightForce(setup.fixedWeight) * (inputs.twr / 4.0)).value() <=
+        0.0) {
+        res.infeasibleReason = InfeasibleReason::NonPositiveFixedWeight;
+        return false;
+    }
+    return true;
+}
+
+WeightLoop
+closeWeightLoop(const ClosureSetup &setup, double twr)
+{
+    WeightLoop loop;
+    Quantity<Grams> total = setup.fixedWeight;
     for (int iter = 0; iter < 60; ++iter) {
         const Quantity<GramsForce> thrust_per_motor =
-            weightForce(total) * (inputs.twr / 4.0);
-        motor = matchMotor(thrust_per_motor, prop, voltage);
-        esc_w = escSetWeightG(motor.maxCurrent(), inputs.escClass);
+            weightForce(total) * (twr / 4.0);
+        loop.motor = matchMotor(thrust_per_motor, setup.prop, setup.voltage);
         const Quantity<Grams> new_total =
-            fixed_weight + 4.0 * motor.weight() + esc_w;
+            setup.fixedWeight + 4.0 * loop.motor.weight() +
+            escSetWeightG(loop.motor.maxCurrent(), setup.escFit);
         if (std::fabs((new_total - total).value()) < 0.01) {
             total = new_total;
-            converged = true;
+            loop.converged = true;
             break;
         }
         total = new_total;
         if (total.value() > 1.0e6)
             break;
     }
-    if (!converged) {
-        res.infeasibleReason = "weight closure diverged";
-        return res;
+    loop.totalWeight = total;
+    return loop;
+}
+
+void
+finishClosure(const DesignInputs &inputs, const ClosureSetup &setup,
+              const WeightLoop &loop, DesignResult &res)
+{
+    if (!loop.converged) {
+        res.infeasibleReason = InfeasibleReason::Diverged;
+        return;
     }
 
-    res.totalWeightG = total;
+    const MotorRecord &motor = loop.motor;
+    res.totalWeightG = loop.totalWeight;
     res.motor = motor;
     res.motorMaxCurrentA = motor.maxCurrent();
     res.motorSetWeightG = 4.0 * motor.weight();
-    res.escSetWeightG = esc_w;
-    res.basicWeightG = total - res.batteryWeightG - res.motorSetWeightG -
-                       res.escSetWeightG;
+    res.escSetWeightG = escSetWeightG(motor.maxCurrent(), setup.escFit);
+    res.basicWeightG = res.totalWeightG - res.batteryWeightG -
+                       res.motorSetWeightG - res.escSetWeightG;
     res.extremeKv = motor.kv > kExtremeKvThreshold;
 
     // Equation 3: average power from the flying load fraction.
     const double load = flyingLoadFraction(inputs.activity);
-    res.maxPowerW = 4.0 * (motor.maxCurrent() * voltage);
+    res.maxPowerW = 4.0 * (motor.maxCurrent() * setup.voltage);
     res.propulsionPowerW = res.maxPowerW * load;
     res.computePowerW = Quantity<Watts>(inputs.compute.powerW);
     res.sensorPowerW = inputs.sensorPowerW;
@@ -95,7 +130,7 @@ solveDesign(const DesignInputs &inputs)
         res.propulsionPowerW + res.computePowerW + res.sensorPowerW;
 
     // Equation 4: usable energy.
-    res.usableEnergyWh = usableEnergyWh(inputs.capacityMah, voltage);
+    res.usableEnergyWh = usableEnergyWh(inputs.capacityMah, setup.voltage);
 
     // Equation 5: flight time.
     res.flightTimeMin = wattHoursToMinutes(res.usableEnergyWh,
@@ -111,12 +146,28 @@ solveDesign(const DesignInputs &inputs)
     const Quantity<Amperes> pack_limit =
         (inputs.capacityMah * 80.0 / Quantity<Hours>(1.0)).to<Amperes>();
     if (pack_limit < max_current_needed) {
-        res.infeasibleReason = "battery C-rating cannot supply max draw";
-        return res;
+        res.infeasibleReason = InfeasibleReason::CRating;
+        return;
     }
 
     res.feasible = true;
+}
+
+DesignResult
+solveDesign(const DesignInputs &inputs, const SurveyModel &model)
+{
+    DesignResult res;
+    ClosureSetup setup;
+    if (setupClosure(inputs, model, res, setup))
+        finishClosure(inputs, setup, closeWeightLoop(setup, inputs.twr),
+                      res);
     return res;
+}
+
+DesignResult
+solveDesign(const DesignInputs &inputs)
+{
+    return solveDesign(inputs, SurveyModel::paper());
 }
 
 } // namespace dronedse

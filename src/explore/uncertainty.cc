@@ -1,19 +1,11 @@
 #include "explore/uncertainty.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "components/battery.hh"
 #include "components/esc.hh"
 #include "components/frame.hh"
-#include "components/motor.hh"
-#include "components/propeller.hh"
-#include "dse/weight_closure.hh"
-#include "physics/lipo.hh"
-#include "physics/loads.hh"
 #include "util/logging.hh"
-#include "util/units.hh"
 
 namespace dronedse::explore {
 
@@ -25,20 +17,6 @@ validateUncertaintyOptions(const UncertaintyOptions &options)
     if (options.scatterReplicates < 2)
         return "scatterReplicates must be >= 2";
     return "";
-}
-
-SurveyModel
-SurveyModel::paper()
-{
-    SurveyModel model;
-    for (int cells = kMinCells; cells <= kMaxCells; ++cells)
-        model.batteryFits[cells - 1] = paperBatteryFit(cells);
-    model.escFits[static_cast<int>(EscClass::ShortFlight)] =
-        paperEscFit(EscClass::ShortFlight);
-    model.escFits[static_cast<int>(EscClass::LongFlight)] =
-        paperEscFit(EscClass::LongFlight);
-    model.frameFit = paperFrameFit();
-    return model;
 }
 
 FitScatter
@@ -123,132 +101,6 @@ perturbSurveyModel(const SurveyModel &base, const FitScatter &scatter,
     return model;
 }
 
-namespace {
-
-/** `frameWeightG` with the caller's fit (same ramp below 200 mm). */
-double
-modelFrameWeightG(const LinearFit &fit, double wheelbase_mm)
-{
-    if (wheelbase_mm > 200.0)
-        return fit.at(wheelbase_mm);
-    const double boundary = fit.at(200.0);
-    const double t =
-        std::clamp((wheelbase_mm - 50.0) / 150.0, 0.0, 1.0);
-    return 50.0 + t * (boundary - 50.0);
-}
-
-/** `escSetWeightG` with the caller's fit (same 10 g floor). */
-double
-modelEscSetWeightG(const LinearFit &fit, double max_current_a)
-{
-    return std::max(fit.at(max_current_a), 10.0);
-}
-
-} // namespace
-
-DesignResult
-solveDesignModel(const DesignInputs &inputs, const SurveyModel &model)
-{
-    // Mirror of dse::solveDesign with the three survey fits routed
-    // through `model`.  Every branch, constant, iteration count, and
-    // arithmetic order matches; the differential battery holds this
-    // function to the original bit-for-bit at the paper model.
-    DesignResult res;
-    res.inputs = inputs;
-
-    if (inputs.cells < kMinCells || inputs.cells > kMaxCells) {
-        res.infeasibleReason = "cell count out of range";
-        return res;
-    }
-    if (inputs.capacityMah.value() <= 0.0 || inputs.twr < 1.0 ||
-        inputs.wheelbaseMm.value() <= 0.0) {
-        res.infeasibleReason = "invalid capacity, TWR, or wheelbase";
-        return res;
-    }
-
-    const Quantity<Inches> prop =
-        inputs.propDiameterIn.value() > 0.0
-            ? inputs.propDiameterIn
-            : maxPropDiameterIn(inputs.wheelbaseMm);
-    const Quantity<Volts> voltage = lipoPackVoltage(inputs.cells);
-
-    res.frameWeightG = Quantity<Grams>(modelFrameWeightG(
-        model.frameFit, inputs.wheelbaseMm.value()));
-    res.batteryWeightG =
-        Quantity<Grams>(model.batteryFits[inputs.cells - 1].at(
-            inputs.capacityMah.value()));
-    res.propSetWeightG = propellerSetWeightG(prop);
-    res.wiringWeightG = wiringWeightG(res.frameWeightG);
-    const Quantity<Grams> fixed_weight =
-        res.frameWeightG + res.batteryWeightG + res.propSetWeightG +
-        res.wiringWeightG + Quantity<Grams>(inputs.compute.weightG) +
-        inputs.sensorWeightG + inputs.payloadG;
-
-    const LinearFit &esc_fit =
-        model.escFits[static_cast<int>(inputs.escClass)];
-    Quantity<Grams> total = fixed_weight;
-    MotorRecord motor;
-    Quantity<Grams> esc_w{};
-    bool converged = false;
-    for (int iter = 0; iter < 60; ++iter) {
-        const Quantity<GramsForce> thrust_per_motor =
-            weightForce(total) * (inputs.twr / 4.0);
-        motor = matchMotor(thrust_per_motor, prop, voltage);
-        esc_w = Quantity<Grams>(
-            modelEscSetWeightG(esc_fit, motor.maxCurrent().value()));
-        const Quantity<Grams> new_total =
-            fixed_weight + 4.0 * motor.weight() + esc_w;
-        if (std::fabs((new_total - total).value()) < 0.01) {
-            total = new_total;
-            converged = true;
-            break;
-        }
-        total = new_total;
-        if (total.value() > 1.0e6)
-            break;
-    }
-    if (!converged) {
-        res.infeasibleReason = "weight closure diverged";
-        return res;
-    }
-
-    res.totalWeightG = total;
-    res.motor = motor;
-    res.motorMaxCurrentA = motor.maxCurrent();
-    res.motorSetWeightG = 4.0 * motor.weight();
-    res.escSetWeightG = esc_w;
-    res.basicWeightG = total - res.batteryWeightG -
-                       res.motorSetWeightG - res.escSetWeightG;
-    res.extremeKv = motor.kv > kExtremeKvThreshold;
-
-    const double load = flyingLoadFraction(inputs.activity);
-    res.maxPowerW = 4.0 * (motor.maxCurrent() * voltage);
-    res.propulsionPowerW = res.maxPowerW * load;
-    res.computePowerW = Quantity<Watts>(inputs.compute.powerW);
-    res.sensorPowerW = inputs.sensorPowerW;
-    res.avgPowerW =
-        res.propulsionPowerW + res.computePowerW + res.sensorPowerW;
-
-    res.usableEnergyWh = usableEnergyWh(inputs.capacityMah, voltage);
-    res.flightTimeMin =
-        wattHoursToMinutes(res.usableEnergyWh, res.avgPowerW);
-    res.computePowerFraction = res.computePowerW / res.avgPowerW;
-
-    const Quantity<Amperes> max_current_needed =
-        4.0 * motor.maxCurrent();
-    const Quantity<Amperes> pack_limit =
-        (inputs.capacityMah * 80.0 / Quantity<Hours>(1.0))
-            .to<Amperes>();
-    if (pack_limit < max_current_needed) {
-        res.infeasibleReason =
-            "battery C-rating cannot supply max draw";
-        return res;
-    }
-
-    res.feasible = true;
-    return res;
-}
-
 UncertaintyResult
 propagateUncertainty(const DesignInputs &point,
                      const UncertaintyOptions &options)
@@ -276,14 +128,14 @@ propagateUncertainty(const DesignInputs &point,
     // perturbation stream: common random numbers, so per-design
     // deltas are paired comparisons.
     Rng rng(options.seed);
-    const SurveyModel base = SurveyModel::paper();
+    const SurveyModel &base = SurveyModel::paper();
     std::vector<double> flight, weight;
     flight.reserve(options.samples);
     weight.reserve(options.samples);
     for (std::size_t i = 0; i < options.samples; ++i) {
         const SurveyModel model =
             perturbSurveyModel(base, scatter, rng);
-        const DesignResult res = solveDesignModel(point, model);
+        const DesignResult res = solveDesign(point, model);
         if (!res.feasible)
             continue;
         ++out.feasibleSamples;

@@ -6,20 +6,16 @@
  * paper's component surveys (Figures 7-8).  Those coefficients are
  * estimates: refitting against a resampled catalog moves them, and
  * the movement propagates through the weight closure into flight
- * time.  This module makes that propagation explicit:
+ * time.  The solver takes the fit set as a `dse` `SurveyModel`
+ * (weight_closure.hh), so a perturbed solve is `solveDesign(x,
+ * model)`, the same closure as the nominal one.  This module makes
+ * the propagation explicit:
  *
- *   `SurveyModel`        — the full fit-coefficient set the solver
- *                          consumes (battery per cell count, ESC per
- *                          class, frame); `paper()` is the published
- *                          one
  *   `FitScatter`         — per-coefficient standard deviations,
  *                          derived by refitting `replicates`
  *                          independently seeded synthetic catalogs
  *                          and measuring the recovered spread
- *   `solveDesignModel`   — `solveDesign` with the fit coefficients
- *                          as an argument; with `SurveyModel::paper()`
- *                          it is bit-identical to `solveDesign`
- *                          (differential-tested)
+ *   `perturbSurveyModel` — one Gaussian draw of every coefficient
  *   `propagateUncertainty` — Monte-Carlo over perturbed models: one
  *                          solve per sampled coefficient set, flight
  *                          time and all-up weight collected into
@@ -39,26 +35,11 @@
 #include <cstdint>
 #include <string>
 
-#include "dse/design_point.hh"
+#include "dse/weight_closure.hh"
 #include "util/ecdf.hh"
-#include "util/regression.hh"
 #include "util/rng.hh"
 
 namespace dronedse::explore {
-
-/** Every survey-fit coefficient the design solver consumes. */
-struct SurveyModel
-{
-    /** Capacity -> pack weight, indexed by cells - 1 (Figure 7). */
-    std::array<LinearFit, 6> batteryFits;
-    /** Current -> 4x-ESC weight, indexed by EscClass (Figure 8a). */
-    std::array<LinearFit, 2> escFits;
-    /** Wheelbase -> frame weight above 200 mm (Figure 8b). */
-    LinearFit frameFit;
-
-    /** The published coefficient set. */
-    static SurveyModel paper();
-};
 
 /** Standard deviation of each fit coefficient under refitting. */
 struct FitScatter
@@ -88,16 +69,6 @@ struct FitScatter
  */
 SurveyModel perturbSurveyModel(const SurveyModel &base,
                                const FitScatter &scatter, Rng &rng);
-
-/**
- * `solveDesign` with the survey fits supplied by the caller instead
- * of baked in.  `solveDesignModel(x, SurveyModel::paper())` is
- * bit-identical to `solveDesign(x)` for every input (the
- * differential battery sweeps whole grids to pin this), so the
- * nominal path and the perturbed path cannot drift apart.
- */
-DesignResult solveDesignModel(const DesignInputs &inputs,
-                              const SurveyModel &model);
 
 /** Monte-Carlo configuration of one propagation run. */
 struct UncertaintyOptions

@@ -37,7 +37,7 @@ TEST(Presets, Figure14TopComponents)
 TEST(Presets, OurDroneDesignCloses)
 {
     const DesignResult res = solveDesign(ourDroneInputs());
-    ASSERT_TRUE(res.feasible) << res.infeasibleReason;
+    ASSERT_TRUE(res.feasible) << enumName(res.infeasibleReason);
     // Model total should land near the real 1071 g build.
     EXPECT_NEAR(res.totalWeightG.value(), 1071.0, 330.0);
     // Flight time in the paper's ~15 min ballpark.

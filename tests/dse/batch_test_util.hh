@@ -71,7 +71,6 @@ expectByteIdentical(const DesignResult &s, const DesignResult &b)
     expectSameBits(s.propSetWeightG, b.propSetWeightG, "propSetWeightG");
     expectSameBits(s.wiringWeightG, b.wiringWeightG, "wiringWeightG");
 
-    EXPECT_EQ(s.motor.name, b.motor.name);
     expectSameBits(s.motor.kv, b.motor.kv, "motor.kv");
     expectSameBits(s.motor.weightG, b.motor.weightG, "motor.weightG");
     expectSameBits(s.motor.maxCurrentA, b.motor.maxCurrentA,

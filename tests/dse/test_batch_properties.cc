@@ -86,19 +86,16 @@ TEST(BatchProperties, MixedBatchPremises)
     // The mixed bag must actually cover every scalar verdict, or the
     // batteries below prove less than they claim.
     const std::vector<DesignInputs> inputs = mixedBatch();
-    std::vector<std::string> reasons;
+    std::vector<InfeasibleReason> reasons;
     for (const auto &in : inputs)
         reasons.push_back(solveDesign(in).infeasibleReason);
-    EXPECT_NE(std::find(reasons.begin(), reasons.end(), ""),
-              reasons.end());
-    for (const char *expected :
-         {"cell count out of range",
-          "invalid capacity, TWR, or wheelbase",
-          "battery C-rating cannot supply max draw",
-          "weight closure diverged"}) {
+    for (InfeasibleReason expected :
+         {InfeasibleReason::None, InfeasibleReason::CellCount,
+          InfeasibleReason::InvalidInputs, InfeasibleReason::CRating,
+          InfeasibleReason::Diverged}) {
         EXPECT_NE(std::find(reasons.begin(), reasons.end(), expected),
                   reasons.end())
-            << expected;
+            << enumName(expected);
     }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "components/compute_board.hh"
+#include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
+#include "batch_test_util.hh"
 #include "util/units.hh"
 
 namespace dronedse {
@@ -21,7 +24,7 @@ medium450()
 TEST(WeightClosure, ConvergesAndAccounts)
 {
     const DesignResult res = solveDesign(medium450());
-    ASSERT_TRUE(res.feasible) << res.infeasibleReason;
+    ASSERT_TRUE(res.feasible) << enumName(res.infeasibleReason);
 
     // The component breakdown must sum to the total.
     const Quantity<Grams> sum =
@@ -148,6 +151,60 @@ TEST(WeightClosure, InvalidInputsAreInfeasible)
     EXPECT_FALSE(solveDesign(in).feasible);
 }
 
+TEST(SurveyModel, PaperModelMatchesSolveDesignBitForBit)
+{
+    // At the published coefficients, the model-parameterized solve
+    // is the solve.  Sweep a grid that crosses feasible, infeasible,
+    // and validation-rejected regions.
+    SweepSpec spec = classSweepSpec(classSpec(SizeClass::Medium),
+                                    {1, 2, 3, 4, 5, 6}, 500.0_mah,
+                                    basicChip3W());
+    spec.boards = {basicChip3W(), advancedChip20W()};
+    spec.activities = {FlightActivity::Hovering,
+                       FlightActivity::Maneuvering};
+    const SurveyModel paper = SurveyModel::paper();
+    for (const DesignInputs &in : expandGrid(spec))
+        batch_test::expectByteIdentical(solveDesign(in, paper),
+                                        solveDesign(in));
+
+    // Edge inputs the grid never hits.
+    DesignInputs bad = medium450();
+    bad.cells = 9;
+    batch_test::expectByteIdentical(solveDesign(bad, paper),
+                                    solveDesign(bad));
+    bad = medium450();
+    bad.twr = 0.5;
+    batch_test::expectByteIdentical(solveDesign(bad, paper),
+                                    solveDesign(bad));
+    bad = medium450();
+    bad.wheelbaseMm = 120.0_mm; // below the frame-fit boundary
+    batch_test::expectByteIdentical(solveDesign(bad, paper),
+                                    solveDesign(bad));
+}
+
+TEST(SurveyModel, NonPositiveFixedWeightIsInfeasibleNotFatal)
+{
+    // A perturbed frame fit can price the airframe below zero grams.
+    // Both the scalar solve and the setup step the batch kernel
+    // calls must answer with a verdict instead of aborting in
+    // matchMotor.
+    SurveyModel model = SurveyModel::paper();
+    model.frameFit.intercept = -5000.0;
+    const DesignInputs in = medium450();
+
+    const DesignResult solved = solveDesign(in, model);
+    EXPECT_FALSE(solved.feasible);
+    EXPECT_EQ(solved.infeasibleReason,
+              InfeasibleReason::NonPositiveFixedWeight);
+    EXPECT_LT(solved.frameWeightG, 0.0_g);
+
+    DesignResult set_up;
+    ClosureSetup setup;
+    EXPECT_FALSE(setupClosure(in, model, set_up, setup));
+    EXPECT_LE(setup.fixedWeight, 0.0_g);
+    batch_test::expectByteIdentical(solved, set_up);
+}
+
 /** Property sweep over cells: flight time positive, weights close. */
 class ClosurePerCells : public testing::TestWithParam<int>
 {
@@ -158,7 +215,7 @@ TEST_P(ClosurePerCells, SolvesAcrossCellCounts)
     DesignInputs in = medium450();
     in.cells = GetParam();
     const DesignResult res = solveDesign(in);
-    ASSERT_TRUE(res.feasible) << res.infeasibleReason;
+    ASSERT_TRUE(res.feasible) << enumName(res.infeasibleReason);
     EXPECT_GT(res.flightTimeMin.value(), 0.0);
     EXPECT_GT(res.totalWeightG, 500.0_g);
     EXPECT_LT(res.totalWeightG, 5000.0_g);

@@ -10,7 +10,6 @@
 #include "components/battery.hh"
 #include "components/compute_board.hh"
 #include "components/frame.hh"
-#include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "explore/gate.hh"
 #include "explore/uncertainty.hh"
@@ -31,60 +30,6 @@ referencePoint()
     in.twr = 2.0;
     in.compute = basicChip3W();
     return in;
-}
-
-void
-expectBitIdentical(const DesignResult &a, const DesignResult &b)
-{
-    ASSERT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.infeasibleReason, b.infeasibleReason);
-    EXPECT_EQ(a.totalWeightG, b.totalWeightG);
-    EXPECT_EQ(a.basicWeightG, b.basicWeightG);
-    EXPECT_EQ(a.frameWeightG, b.frameWeightG);
-    EXPECT_EQ(a.batteryWeightG, b.batteryWeightG);
-    EXPECT_EQ(a.motorSetWeightG, b.motorSetWeightG);
-    EXPECT_EQ(a.escSetWeightG, b.escSetWeightG);
-    EXPECT_EQ(a.propSetWeightG, b.propSetWeightG);
-    EXPECT_EQ(a.wiringWeightG, b.wiringWeightG);
-    EXPECT_EQ(a.motor.kv, b.motor.kv);
-    EXPECT_EQ(a.motorMaxCurrentA, b.motorMaxCurrentA);
-    EXPECT_EQ(a.extremeKv, b.extremeKv);
-    EXPECT_EQ(a.maxPowerW, b.maxPowerW);
-    EXPECT_EQ(a.propulsionPowerW, b.propulsionPowerW);
-    EXPECT_EQ(a.computePowerW, b.computePowerW);
-    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
-    EXPECT_EQ(a.usableEnergyWh, b.usableEnergyWh);
-    EXPECT_EQ(a.flightTimeMin, b.flightTimeMin);
-    EXPECT_EQ(a.computePowerFraction, b.computePowerFraction);
-}
-
-TEST(SurveyModel, PaperModelMatchesSolveDesignBitForBit)
-{
-    // The differential that anchors the whole uncertainty path: at
-    // the published coefficients, the model-parameterized solver is
-    // the solver.  Sweep a grid that crosses feasible, infeasible,
-    // and validation-rejected regions.
-    SweepSpec spec = classSweepSpec(classSpec(SizeClass::Medium),
-                                    {1, 2, 3, 4, 5, 6}, 500.0_mah,
-                                    basicChip3W());
-    spec.boards = {basicChip3W(), advancedChip20W()};
-    spec.activities = {FlightActivity::Hovering,
-                       FlightActivity::Maneuvering};
-    const SurveyModel paper = SurveyModel::paper();
-    for (const DesignInputs &in : expandGrid(spec))
-        expectBitIdentical(solveDesignModel(in, paper),
-                           solveDesign(in));
-
-    // Edge inputs the grid never hits.
-    DesignInputs bad = referencePoint();
-    bad.cells = 9;
-    expectBitIdentical(solveDesignModel(bad, paper), solveDesign(bad));
-    bad = referencePoint();
-    bad.twr = 0.5;
-    expectBitIdentical(solveDesignModel(bad, paper), solveDesign(bad));
-    bad = referencePoint();
-    bad.wheelbaseMm = 120.0_mm; // below the frame-fit boundary
-    expectBitIdentical(solveDesignModel(bad, paper), solveDesign(bad));
 }
 
 TEST(FitScatter, DerivedScatterIsPositiveAndReproducible)

@@ -672,3 +672,23 @@ TEST(ServeRequest, MalformedFrameBattery)
     EXPECT_NE(ok_reply.find("\"ok\": true"), std::string::npos);
     EXPECT_EQ(service.planner().stats().executed, 1u);
 }
+
+TEST(ServeRiskFrame, NonPositiveFixedWeightSampleRepliesOk)
+{
+    // An admitted risk frame whose perturbed frame fit prices a
+    // 201 mm airframe below zero grams in some sample.  That sample
+    // is infeasible; the service answers the frame, and answers it
+    // again the same way.
+    const std::string frame =
+        R"({"id":1,"kind":"risk","point":{"wheelbase_mm":201,"cells":1,)"
+        R"("capacity_mah":1,"board":{"weight_g":0,"power_w":0}},)"
+        R"("options":{"seed":1,"samples":256,"scatter_replicates":2}})";
+    ServiceOptions options;
+    options.engine.threads = 1;
+    Service service{options};
+    const std::string reply = service.handleFrame(frame, 0.0);
+    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("\"samples\": 256"), std::string::npos)
+        << reply;
+    EXPECT_EQ(service.handleFrame(frame, 1.0), reply);
+}

@@ -170,7 +170,7 @@ goldenInfeasible()
 {
     DesignResult res;
     res.inputs = goldenPoint();
-    res.infeasibleReason = "weight closure diverged";
+    res.infeasibleReason = InfeasibleReason::Diverged;
     return res;
 }
 
