@@ -75,10 +75,9 @@ struct SweepResult
  * sweeps.
  *
  * Thread-safe for concurrent `solve`, `run` and `solvePoints` calls,
- * which is the batching hook the serve layer leans on — server
- * workers submit whole coalesced batches from many threads.  Each
- * call is its own pool job, so concurrent callers' solves overlap
- * and share the pool's workers; the engine holds no lock.
+ * so server workers each run their own request from many threads.
+ * Each call is its own pool job, so concurrent callers' solves
+ * overlap and share the pool's workers; the engine holds no lock.
  */
 class SweepEngine
 {

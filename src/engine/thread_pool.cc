@@ -91,6 +91,12 @@ ThreadPool::parallelForChunks(
             .count = count,
             .chunk = chunk_size,
             .stats = std::vector<WorkerStats>(n_workers)};
+    if (count <= chunk_size || workers_.empty()) {
+        // Nothing for a worker to take: run inline, unlisted, so no
+        // worker is woken for a job the caller drains alone.
+        drain(job, 0);
+        return std::move(job.stats);
+    }
     {
         util::MutexLock lock(jobMutex_);
         jobs_.push_back(&job);

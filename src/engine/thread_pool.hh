@@ -3,8 +3,8 @@
  * Self-scheduling thread pool for batch design-space sweeps.
  *
  * The pool owns N-1 persistent workers; the caller participates as
- * worker 0, so a single-threaded pool runs entirely inline and a
- * sweep on a one-core host costs no context switches.  Each
+ * worker 0, so a single-threaded pool, or any job that fits in one
+ * chunk, runs entirely inline and wakes no worker.  Each
  * `parallelForChunks` call is one job with its own chunk cursor:
  * the caller and any idle workers claim `[next, next + chunk)`
  * ranges from it with one atomic add until the range is exhausted.

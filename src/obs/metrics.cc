@@ -158,15 +158,6 @@ MetricsRegistry::writeJson(const std::string &path) const
               "'");
 }
 
-void
-MetricsRegistry::clear()
-{
-    util::MutexLock lock(mutex_);
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-}
-
 MetricsRegistry &
 metrics()
 {

@@ -122,9 +122,6 @@ class MetricsRegistry
     /** Write the snapshot to a file; fatal() on I/O failure. */
     void writeJson(const std::string &path) const;
 
-    /** Drop every metric (tests; snapshots are cheap, prefer those). */
-    void clear() DDSE_EXCLUDES(mutex_);
-
   private:
     mutable util::Mutex mutex_;
     std::map<std::string, std::unique_ptr<Counter>> counters_

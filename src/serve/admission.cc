@@ -41,7 +41,24 @@ admitError(AdmitDecision decision)
 }
 
 AdmissionController::AdmissionController(AdmissionConfig config)
-    : config_(std::move(config)), waitHist_(config_.waitBounds),
+    : config_(std::move(config)),
+      admittedCounter_(
+          obs::metrics().counter("serve.admission.admitted")),
+      rateLimitedCounter_(
+          obs::metrics().counter("serve.admission.rate_limited")),
+      queueFullCounter_(
+          obs::metrics().counter("serve.admission.queue_full")),
+      shedClassCounter_(
+          obs::metrics().counter("serve.admission.shed_class")),
+      shedAllCounter_(obs::metrics().counter("serve.admission.shed_all")),
+      transitionsCounter_(
+          obs::metrics().counter("serve.admission.transitions")),
+      stateGauge_(obs::metrics().gauge("serve.admission.state")),
+      depthGauge_(obs::metrics().gauge("serve.queue.depth")),
+      waitP95Gauge_(obs::metrics().gauge("serve.queue.wait_p95_seconds")),
+      waitSecondsHist_(obs::metrics().histogram(
+          "serve.queue.wait_seconds", config_.waitBounds)),
+      waitHist_(config_.waitBounds),
       windowBaseCounts_(config_.waitBounds.size() + 1, 0)
 {
     if (config_.queueCapacity == 0)
@@ -80,10 +97,8 @@ AdmissionController::transitionTo(ShedState to, double t,
         return;
     transitions_.push_back(ShedTransition{t, state_, to, reason});
     state_ = to;
-    obs::metrics().counter("serve.admission.transitions").add(1);
-    obs::metrics()
-        .gauge("serve.admission.state")
-        .set(static_cast<double>(to));
+    transitionsCounter_.add(1);
+    stateGauge_.set(static_cast<double>(to));
 }
 
 void
@@ -157,26 +172,23 @@ AdmissionController::closeWindow()
         overloadLevel_ += 3.0;
     else if (p95 >= config_.waitP95ShedS)
         overloadLevel_ += 1.0;
-    obs::metrics()
-        .gauge("serve.queue.wait_p95_seconds")
-        .set(p95);
+    waitP95Gauge_.set(p95);
 }
 
 AdmitDecision
 AdmissionController::decide(QueryClass cls, double t)
 {
-    obs::MetricsRegistry &registry = obs::metrics();
     advanceState(t);
 
     if (state_ == ShedState::RejectAll) {
         ++stats_.shedAll;
-        registry.counter("serve.admission.shed_all").add(1);
+        shedAllCounter_.add(1);
         return AdmitDecision::ShedAll;
     }
     if (state_ == ShedState::ShedLowPriority &&
         cls == QueryClass::Batch) {
         ++stats_.shedClass;
-        registry.counter("serve.admission.shed_class").add(1);
+        shedClassCounter_.add(1);
         return AdmitDecision::ShedClass;
     }
     const bool interactive = cls == QueryClass::Interactive;
@@ -184,16 +196,16 @@ AdmissionController::decide(QueryClass cls, double t)
                    interactive ? config_.interactive : config_.batch,
                    t)) {
         ++stats_.rateLimited;
-        registry.counter("serve.admission.rate_limited").add(1);
+        rateLimitedCounter_.add(1);
         return AdmitDecision::RateLimited;
     }
     if (queue_.size() >= config_.queueCapacity) {
         ++stats_.queueFull;
-        registry.counter("serve.admission.queue_full").add(1);
+        queueFullCounter_.add(1);
         return AdmitDecision::QueueFull;
     }
     ++stats_.admitted;
-    registry.counter("serve.admission.admitted").add(1);
+    admittedCounter_.add(1);
     return AdmitDecision::Admit;
 }
 
@@ -201,11 +213,8 @@ void
 AdmissionController::recordWait(double wait, double t)
 {
     waitHist_.record(wait);
-    obs::metrics()
-        .histogram("serve.queue.wait_seconds", config_.waitBounds)
-        .record(wait);
-    obs::metrics().gauge("serve.queue.depth")
-        .set(static_cast<double>(queue_.size()));
+    waitSecondsHist_.record(wait);
+    depthGauge_.set(static_cast<double>(queue_.size()));
     advanceState(t);
     if (++samplesInWindow_ >= kP95WindowSamples) {
         // Decay (above) happens before the window feeds the
@@ -226,8 +235,7 @@ AdmissionController::submit(QueuedItem item, double t)
         return decision;
     item.enqueueT = t;
     queue_.push_back(std::move(item));
-    obs::metrics().gauge("serve.queue.depth")
-        .set(static_cast<double>(queue_.size()));
+    depthGauge_.set(static_cast<double>(queue_.size()));
     return AdmitDecision::Admit;
 }
 

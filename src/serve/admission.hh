@@ -216,6 +216,18 @@ class AdmissionController
 
     AdmissionConfig config_;
 
+    // Registry instruments, resolved once at construction.
+    obs::Counter &admittedCounter_;
+    obs::Counter &rateLimitedCounter_;
+    obs::Counter &queueFullCounter_;
+    obs::Counter &shedClassCounter_;
+    obs::Counter &shedAllCounter_;
+    obs::Counter &transitionsCounter_;
+    obs::Gauge &stateGauge_;
+    obs::Gauge &depthGauge_;
+    obs::Gauge &waitP95Gauge_;
+    obs::Histogram &waitSecondsHist_;
+
     mutable util::Mutex mutex_;
     std::deque<QueuedItem> queue_ DDSE_GUARDED_BY(mutex_);
     Bucket interactiveBucket_ DDSE_GUARDED_BY(mutex_);

@@ -4,7 +4,6 @@
 #include <initializer_list>
 #include <utility>
 
-#include "obs/metrics.hh"
 #include "obs/tracer.hh"
 
 namespace dronedse::serve {
@@ -134,25 +133,12 @@ serviceLimitViolation(const Request &request)
     return "";
 }
 
-/**
- * The single-flight key: the canonical serialization without id and
- * class, with pareto folded into sweep, so any two queries that
- * compute the same thing share one run.
- */
-std::string
-coalescingKey(Request request)
-{
-    request.id = 0;
-    request.cls = QueryClass::Interactive;
-    if (request.kind == QueryKind::Pareto)
-        request.kind = QueryKind::Sweep;
-    return serializeRequest(request);
-}
-
 } // namespace
 
 QueryPlanner::QueryPlanner(engine::SweepEngine &engine)
-    : engine_(engine), codesign_(engine)
+    : engine_(engine), codesign_(engine),
+      executedCounter_(obs::metrics().counter("serve.queries.executed")),
+      invalidCounter_(obs::metrics().counter("serve.queries.invalid"))
 {
 }
 
@@ -169,63 +155,14 @@ QueryPlanner::validate(const Request &request, ErrorReply &err) const
     return false;
 }
 
-template <typename T, typename MakeFn>
-std::shared_ptr<T>
-QueryPlanner::runSingleFlight(FlightTable<T> &table,
-                              const std::string &key,
-                              const char *span_name, MakeFn &&make)
-{
-    std::shared_ptr<InFlight<T>> flight;
-    bool leader = false;
-    {
-        util::MutexLock lock(mutex_);
-        auto &slot = table[key];
-        if (!slot) {
-            slot = std::make_shared<InFlight<T>>();
-            leader = true;
-        }
-        flight = slot;
-        if (leader)
-            ++stats_.batchesLed;
-        else
-            ++stats_.coalesced;
-    }
-
-    if (leader) {
-        obs::ScopedSpan span(span_name, "serve");
-        auto value = std::make_shared<T>(make());
-        {
-            util::MutexLock lock(flight->mutex);
-            flight->value = value;
-            flight->done = true;
-        }
-        flight->cv.notifyAll();
-        {
-            util::MutexLock lock(mutex_);
-            table.erase(key);
-        }
-        obs::metrics().counter("serve.batches.led").add(1);
-        return value;
-    }
-
-    obs::metrics().counter("serve.batches.coalesced").add(1);
-    util::MutexLock lock(flight->mutex);
-    while (!flight->done)
-        flight->cv.wait(flight->mutex);
-    return flight->value;
-}
-
 std::string
 QueryPlanner::execute(const Request &request)
 {
     obs::ScopedSpan span("serve.execute", "serve");
     ErrorReply err;
     if (!validate(request, err)) {
-        {
-            util::MutexLock lock(mutex_);
-            ++stats_.invalid;
-        }
-        obs::metrics().counter("serve.queries.invalid").add(1);
+        invalid_.fetch_add(1, std::memory_order_relaxed);
+        invalidCounter_.add(1);
         return serializeErrorReply(request.id, err);
     }
 
@@ -237,61 +174,42 @@ QueryPlanner::execute(const Request &request)
         break;
     case QueryKind::Sweep:
     case QueryKind::Pareto: {
-        const std::shared_ptr<engine::SweepResult> result =
-            runSingleFlight(inflight_, coalescingKey(request),
-                            "serve.batch",
-                            [&] { return engine_.run(request.spec); });
+        const engine::SweepResult result = engine_.run(request.spec);
         reply = request.kind == QueryKind::Sweep
-                    ? serializeSweepReply(request.id, result->points,
-                                          result->feasible.size(),
-                                          result->frontier)
-                    : serializeParetoReply(request.id, result->points,
-                                           result->frontier);
+                    ? serializeSweepReply(request.id, result.points,
+                                          result.feasible.size(),
+                                          result.frontier)
+                    : serializeParetoReply(request.id, result.points,
+                                           result.frontier);
         break;
     }
     case QueryKind::Codesign:
-        reply = serializeCodesignReply(
-            request.id,
-            *runSingleFlight(inflightCodesign_, coalescingKey(request),
-                             "serve.codesign", [&] {
-                                 return codesign_.run(request.mission);
-                             }));
+        reply = serializeCodesignReply(request.id,
+                                       codesign_.run(request.mission));
         break;
-    case QueryKind::Explore:
+    case QueryKind::Explore: {
+        explore::AdaptiveDriver driver(engine_, request.explore.options);
         reply = serializeExploreReply(
-            request.id,
-            *runSingleFlight(inflightExplore_, coalescingKey(request),
-                             "serve.explore", [&] {
-                                 explore::AdaptiveDriver driver(
-                                     engine_, request.explore.options);
-                                 return driver.run(
-                                     request.explore.space);
-                             }));
+            request.id, driver.run(request.explore.space));
         break;
+    }
     case QueryKind::Risk:
-        reply = serializeRiskReply(
-            request.id,
-            *runSingleFlight(inflightRisk_, coalescingKey(request),
-                             "serve.risk", [&] {
-                                 return explore::runRiskQuery(
-                                     request.risk);
-                             }),
-            request.risk.quantiles);
+        reply = serializeRiskReply(request.id,
+                                   explore::runRiskQuery(request.risk),
+                                   request.risk.quantiles);
         break;
     }
-    {
-        util::MutexLock lock(mutex_);
-        ++stats_.executed;
-    }
-    obs::metrics().counter("serve.queries.executed").add(1);
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    executedCounter_.add(1);
     return reply;
 }
 
 PlannerStats
 QueryPlanner::stats() const
 {
-    util::MutexLock lock(mutex_);
-    return stats_;
+    return PlannerStats{
+        .executed = executed_.load(std::memory_order_relaxed),
+        .invalid = invalid_.load(std::memory_order_relaxed)};
 }
 
 } // namespace dronedse::serve

@@ -13,26 +13,24 @@
  * the capacity step and axis length — so one query cannot wedge
  * the service.
  *
- * Execution routes through one shared `engine::SweepEngine`.
- * Identical concurrent sweep/pareto specs are coalesced
- * single-flight: the first caller becomes the leader and runs the
- * batch, followers block on the leader's result and share it (the
- * canonical spec serialization is the coalescing key, so a sweep
- * and a pareto over the same spec share one engine run).
+ * Execution routes through one shared `engine::SweepEngine`.  Each
+ * admitted request owns its run: `execute` calls the engine, the
+ * co-design driver, the adaptive explorer or the risk query directly
+ * and serializes the result, so concurrent callers share the pool's
+ * workers but never a result.  The planner holds no lock.
  */
 
 #ifndef DRONEDSE_SERVE_PLANNER_HH
 #define DRONEDSE_SERVE_PLANNER_HH
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "codesign/codesign.hh"
 #include "engine/engine.hh"
+#include "obs/metrics.hh"
 #include "serve/request.hh"
-#include "util/thread_annotations.hh"
 
 namespace dronedse::serve {
 
@@ -41,10 +39,6 @@ struct PlannerStats
 {
     std::uint64_t executed = 0;
     std::uint64_t invalid = 0;
-    /** Queries that ran a fresh engine batch as leader. */
-    std::uint64_t batchesLed = 0;
-    /** Queries that joined an in-flight identical batch. */
-    std::uint64_t coalesced = 0;
 };
 
 class QueryPlanner
@@ -65,58 +59,20 @@ class QueryPlanner
      * one reply frame; thread-safe for any number of concurrent
      * callers.
      */
-    std::string execute(const Request &request)
-        DDSE_EXCLUDES(mutex_);
+    std::string execute(const Request &request);
 
-    PlannerStats stats() const DDSE_EXCLUDES(mutex_);
+    PlannerStats stats() const;
 
     engine::SweepEngine &engine() { return engine_; }
 
   private:
-    /**
-     * One in-flight computation of type T: the leader publishes the
-     * shared value under the flight's own mutex, followers wait on
-     * the condvar.  Every query family shares this one shape.
-     */
-    template <typename T> struct InFlight
-    {
-        util::Mutex mutex;
-        util::CondVar cv;
-        bool done DDSE_GUARDED_BY(mutex) = false;
-        std::shared_ptr<T> value DDSE_GUARDED_BY(mutex);
-    };
-
-    template <typename T>
-    using FlightTable =
-        std::unordered_map<std::string,
-                           std::shared_ptr<InFlight<T>>>;
-
-    /**
-     * The single-flight engine shared by every coalesced query
-     * family: first caller on `key` becomes the leader and runs
-     * `make`, followers block and share the leader's value.
-     * Defined in planner.cc (only instantiated there).
-     */
-    template <typename T, typename MakeFn>
-    std::shared_ptr<T> runSingleFlight(FlightTable<T> &table,
-                                       const std::string &key,
-                                       const char *span_name,
-                                       MakeFn &&make)
-        DDSE_EXCLUDES(mutex_);
-
     engine::SweepEngine &engine_;
     codesign::CodesignDriver codesign_;
 
-    mutable util::Mutex mutex_;
-    PlannerStats stats_ DDSE_GUARDED_BY(mutex_);
-    FlightTable<engine::SweepResult> inflight_
-        DDSE_GUARDED_BY(mutex_);
-    FlightTable<codesign::CodesignOutcome> inflightCodesign_
-        DDSE_GUARDED_BY(mutex_);
-    FlightTable<explore::ExploreResult> inflightExplore_
-        DDSE_GUARDED_BY(mutex_);
-    FlightTable<explore::RiskOutcome> inflightRisk_
-        DDSE_GUARDED_BY(mutex_);
+    std::atomic<std::uint64_t> executed_{0};
+    std::atomic<std::uint64_t> invalid_{0};
+    obs::Counter &executedCounter_;
+    obs::Counter &invalidCounter_;
 };
 
 } // namespace dronedse::serve

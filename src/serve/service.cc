@@ -1,13 +1,15 @@
 #include "serve/service.hh"
 
-#include "obs/metrics.hh"
 #include "obs/tracer.hh"
 
 namespace dronedse::serve {
 
 Service::Service(ServiceOptions options)
     : options_(options), engine_(options.engine), planner_(engine_),
-      admission_(options.admission)
+      admission_(options.admission),
+      framesCounter_(obs::metrics().counter("serve.frames")),
+      okCounter_(obs::metrics().counter("serve.replies.ok")),
+      errorCounter_(obs::metrics().counter("serve.replies.error"))
 {
 }
 
@@ -15,10 +17,9 @@ bool
 Service::admit(const std::string &frame, std::uint64_t conn, double t,
                bool enqueue, Request &request, std::string &reply)
 {
-    obs::MetricsRegistry &registry = obs::metrics();
-    registry.counter("serve.frames").add(1);
+    framesCounter_.add(1);
     const auto reject = [&](std::uint64_t id, const ErrorReply &err) {
-        registry.counter("serve.replies.error").add(1);
+        errorCounter_.add(1);
         reply = serializeErrorReply(id, err);
         return false;
     };
@@ -54,7 +55,7 @@ Service::handleFrame(const std::string &frame, double t)
     // This caller is also the worker: it runs the request it parsed,
     // and admission recorded a zero queue wait.
     reply = planner_.execute(request);
-    obs::metrics().counter("serve.replies.ok").add(1);
+    okCounter_.add(1);
     return reply;
 }
 
@@ -75,7 +76,7 @@ Service::processOne(double t)
     if (!admission_.pop(t, item))
         return std::nullopt;
     const std::string reply = planner_.execute(item.request);
-    obs::metrics().counter("serve.replies.ok").add(1);
+    okCounter_.add(1);
     return std::make_pair(item.conn, reply);
 }
 

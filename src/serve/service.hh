@@ -26,6 +26,7 @@
 #include <string>
 
 #include "engine/engine.hh"
+#include "obs/metrics.hh"
 #include "serve/admission.hh"
 #include "serve/planner.hh"
 #include "serve/request.hh"
@@ -95,6 +96,11 @@ class Service
     engine::SweepEngine engine_;
     QueryPlanner planner_;
     AdmissionController admission_;
+
+    // Registry instruments, resolved once at construction.
+    obs::Counter &framesCounter_;
+    obs::Counter &okCounter_;
+    obs::Counter &errorCounter_;
 };
 
 } // namespace dronedse::serve

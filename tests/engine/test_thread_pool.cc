@@ -119,6 +119,21 @@ TEST(ThreadPool, ConcurrentJobsShareOnePool)
     }
 }
 
+TEST(ThreadPool, OneChunkJobsRunInlineOnTheCaller)
+{
+    // A job that fits in one chunk leaves nothing for a worker to
+    // claim, so the caller runs all of it and no worker is woken.
+    ThreadPool pool(2);
+    constexpr std::size_t kCount = 64;
+    for (int call = 0; call < 1000; ++call) {
+        const std::vector<WorkerStats> stats = pool.parallelForChunks(
+            kCount, kCount, [](std::size_t, std::size_t, int) {});
+        ASSERT_EQ(stats.size(), 2u);
+        ASSERT_EQ(stats[0].itemsProcessed, kCount) << "call " << call;
+        ASSERT_EQ(stats[1].itemsProcessed, 0u) << "call " << call;
+    }
+}
+
 TEST(SolvePoints, ConcurrentCallersMatchScalar)
 {
     // Two clients solve distinct point lists through one 2-thread

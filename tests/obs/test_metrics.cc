@@ -124,17 +124,6 @@ TEST(Metrics, JsonSnapshotIsDeterministicAndSorted)
     EXPECT_NE(json.find("\"counts\""), std::string::npos);
 }
 
-TEST(Metrics, ClearResetsToTheEmptySnapshot)
-{
-    MetricsRegistry reg;
-    const std::string empty = reg.toJson();
-    reg.counter("test.c").add(5);
-    reg.gauge("test.g").set(1.0);
-    EXPECT_NE(reg.toJson(), empty);
-    reg.clear();
-    EXPECT_EQ(reg.toJson(), empty);
-}
-
 TEST(Metrics, GlobalRegistryIsASingleton)
 {
     EXPECT_EQ(&metrics(), &metrics());

@@ -120,28 +120,34 @@ TEST(ServeCodesign, MalformedMissionsAreRejected)
 
 TEST(ServeCodesign, IdenticalMissionsCoalesceSingleFlight)
 {
-    engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
-    QueryPlanner planner{engine};
+    // Identical concurrent missions each run their own search: every
+    // reply equals the single-caller oracle, and each caller solved
+    // exactly the oracle's points.
     const Request request = codesignRequest(21);
     constexpr int kCallers = 8;
 
+    engine::SweepEngine oracle_engine{
+        engine::EngineOptions{.threads = 1}};
+    QueryPlanner oracle_planner{oracle_engine};
+    const std::string oracle = oracle_planner.execute(request);
+    const std::uint64_t points = oracle_engine.cacheCounters().misses;
+    EXPECT_GT(points, 0u);
+
+    engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
+    QueryPlanner planner{engine};
     std::vector<std::string> replies(kCallers);
     std::vector<std::thread> threads;
     threads.reserve(kCallers);
-    for (int i = 0; i < kCallers; ++i)
-        threads.emplace_back([&, i] {
-            replies[static_cast<std::size_t>(i)] =
-                planner.execute(request);
-        });
+    for (std::string &reply : replies)
+        threads.emplace_back([&] { reply = planner.execute(request); });
     for (std::thread &t : threads)
         t.join();
 
-    for (int i = 1; i < kCallers; ++i)
-        EXPECT_EQ(replies[static_cast<std::size_t>(i)], replies[0]);
-
-    const PlannerStats stats = planner.stats();
-    EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kCallers));
-    EXPECT_GE(stats.batchesLed, 1u);
-    EXPECT_EQ(stats.batchesLed + stats.coalesced,
+    for (int i = 0; i < kCallers; ++i)
+        EXPECT_EQ(replies[static_cast<std::size_t>(i)], oracle)
+            << "caller " << i;
+    EXPECT_EQ(planner.stats().executed,
               static_cast<std::uint64_t>(kCallers));
+    EXPECT_EQ(engine.cacheCounters().misses,
+              std::uint64_t{kCallers} * points);
 }

@@ -83,6 +83,22 @@ validRisk(std::uint64_t id)
     return request;
 }
 
+/** `request` executed by `callers` threads at once on `planner`. */
+std::vector<std::string>
+executeConcurrently(QueryPlanner &planner, const Request &request,
+                    int callers)
+{
+    std::vector<std::string> replies(static_cast<std::size_t>(callers));
+    std::vector<std::thread> threads;
+    threads.reserve(replies.size());
+    for (std::string &reply : replies)
+        threads.emplace_back(
+            [&] { reply = planner.execute(request); });
+    for (std::thread &t : threads)
+        t.join();
+    return replies;
+}
+
 } // namespace
 
 TEST(ServePlanner, AcceptsValidQueries)
@@ -266,57 +282,29 @@ TEST(ServePlanner, ExecuteMatchesEngineRun)
                                   expected.frontier));
 }
 
-TEST(ServePlanner, SweepAndParetoShareOneCoalescingKey)
-{
-    engine::SweepEngine engine{engine::EngineOptions{.threads = 1}};
-    QueryPlanner planner{engine};
-
-    // Same spec, different kind: one coalescing key, so concurrent
-    // callers share a batch.  Run serially, each query leads its own
-    // batch and solves the grid once.
-    Request sweep = validSweep(1);
-    Request pareto = validSweep(2);
-    pareto.kind = QueryKind::Pareto;
-
-    planner.execute(sweep);
-    planner.execute(pareto);
-    const PlannerStats stats = planner.stats();
-    EXPECT_EQ(stats.batchesLed, 2u);
-    EXPECT_EQ(stats.coalesced, 0u);
-    EXPECT_EQ(engine.cacheCounters().misses,
-              stats.batchesLed * sweep.spec.pointCount());
-}
-
 TEST(ServePlanner, ConcurrentIdenticalSweepsCoalesce)
 {
-    engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
-    QueryPlanner planner{engine};
+    // Identical concurrent sweeps each run their own engine job: every
+    // reply equals the single-caller oracle, and every caller solved
+    // the whole grid.
     const Request request = validSweep(33);
     constexpr int kCallers = 8;
+    engine::SweepEngine oracle_engine{
+        engine::EngineOptions{.threads = 1}};
+    const std::string oracle = QueryPlanner{oracle_engine}.execute(request);
 
-    std::vector<std::string> replies(kCallers);
-    std::vector<std::thread> threads;
-    threads.reserve(kCallers);
+    engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
+    QueryPlanner planner{engine};
+    const std::vector<std::string> replies =
+        executeConcurrently(planner, request, kCallers);
     for (int i = 0; i < kCallers; ++i)
-        threads.emplace_back([&, i] {
-            replies[static_cast<std::size_t>(i)] =
-                planner.execute(request);
-        });
-    for (std::thread &t : threads)
-        t.join();
+        EXPECT_EQ(replies[static_cast<std::size_t>(i)], oracle)
+            << "caller " << i;
 
-    for (int i = 1; i < kCallers; ++i)
-        EXPECT_EQ(replies[static_cast<std::size_t>(i)], replies[0]);
-
-    const PlannerStats stats = planner.stats();
-    EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kCallers));
-    EXPECT_GE(stats.batchesLed, 1u);
-    EXPECT_EQ(stats.batchesLed + stats.coalesced,
+    EXPECT_EQ(planner.stats().executed,
               static_cast<std::uint64_t>(kCallers));
-    // The race is real, so followers are not guaranteed, but each
-    // led batch solved the grid exactly once and no follower solved.
     EXPECT_EQ(engine.cacheCounters().misses,
-              stats.batchesLed * request.spec.pointCount());
+              std::uint64_t{kCallers} * request.spec.pointCount());
 }
 
 TEST(ServePlanner, AcceptsValidExploreAndRiskQueries)
@@ -503,47 +491,38 @@ TEST(ServePlanner, RiskExecuteCarriesGatesAndQuantiles)
 
 TEST(ServePlanner, ConcurrentIdenticalExploresCoalesce)
 {
-    engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
-    QueryPlanner planner{engine};
+    // Identical concurrent explorations each run their own driver:
+    // every reply equals the single-caller oracle, and each caller
+    // spent exactly the oracle's evaluations.
     const Request request = validExplore(51);
     constexpr int kCallers = 6;
 
-    std::vector<std::string> replies(kCallers);
-    std::vector<std::thread> threads;
-    threads.reserve(kCallers);
-    for (int i = 0; i < kCallers; ++i)
-        threads.emplace_back([&, i] {
-            replies[static_cast<std::size_t>(i)] =
-                planner.execute(request);
-        });
-    for (std::thread &t : threads)
-        t.join();
-
-    for (int i = 1; i < kCallers; ++i)
-        EXPECT_EQ(replies[static_cast<std::size_t>(i)], replies[0]);
-
-    const PlannerStats stats = planner.stats();
-    EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kCallers));
-    EXPECT_GE(stats.batchesLed, 1u);
-    EXPECT_EQ(stats.batchesLed + stats.coalesced,
-              static_cast<std::uint64_t>(kCallers));
-    // Whatever the leader/follower split, each led batch ran the
-    // deterministic exploration once and no follower solved: an
-    // identical run on a fresh engine gives the per-batch count.
     engine::SweepEngine oracle_engine{
         engine::EngineOptions{.threads = 1}};
-    explore::AdaptiveDriver(oracle_engine, request.explore.options)
-        .run(request.explore.space);
+    QueryPlanner oracle_planner{oracle_engine};
+    const std::string oracle = oracle_planner.execute(request);
     const std::uint64_t points = oracle_engine.cacheCounters().misses;
     EXPECT_GT(points, 0u);
     EXPECT_LE(points, request.explore.options.maxEvaluations);
-    EXPECT_EQ(engine.cacheCounters().misses, stats.batchesLed * points);
+
+    engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
+    QueryPlanner planner{engine};
+    const std::vector<std::string> replies =
+        executeConcurrently(planner, request, kCallers);
+    for (int i = 0; i < kCallers; ++i)
+        EXPECT_EQ(replies[static_cast<std::size_t>(i)], oracle)
+            << "caller " << i;
+
+    EXPECT_EQ(planner.stats().executed,
+              static_cast<std::uint64_t>(kCallers));
+    EXPECT_EQ(engine.cacheCounters().misses,
+              std::uint64_t{kCallers} * points);
 }
 
-TEST(ServePlanner, ConcurrentRunsAreSerializedByTheEngine)
+TEST(ServePlanner, ConcurrentDistinctSweepsKeepTheirOwnResults)
 {
-    // Distinct specs from many threads: the engine's internal run
-    // mutex must order them without torn results.
+    // Distinct specs from many threads: the jobs share the engine's
+    // pool, and each reply must be its own spec's, untorn.
     engine::SweepEngine engine{engine::EngineOptions{.threads = 2}};
     QueryPlanner planner{engine};
     constexpr int kCallers = 6;
