@@ -7,7 +7,6 @@
 #include "dse/batch_solve.hh"
 #include "dse/weight_closure.hh"
 #include "engine/pareto.hh"
-#include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "util/logging.hh"
 
@@ -23,13 +22,25 @@ SweepResult::feasibleSeries() const
     return out;
 }
 
-SweepEngine::SweepEngine(EngineOptions options) : pool_(options.threads)
+SweepEngine::SweepEngine(EngineOptions options)
+    : pool_(options.threads),
+      sweeps_(obs::metrics().counter("engine.sweeps")),
+      gridPoints_(obs::metrics().counter("engine.grid_points")),
+      feasiblePoints_(obs::metrics().counter("engine.feasible_points")),
+      frontierPoints_(obs::metrics().counter("engine.frontier_points")),
+      pointBatches_(obs::metrics().counter("engine.point_batches")),
+      pointsPerSecond_(
+          obs::metrics().gauge("engine.sweep.points_per_second")),
+      sweepWallSeconds_(obs::metrics().histogram(
+          "engine.sweep.wall_seconds",
+          {0.001, 0.01, 0.1, 1.0, 10.0, 100.0}))
 {
 }
 
 std::vector<WorkerStats>
 SweepEngine::solveAll(std::span<const DesignInputs> inputs,
-                      std::span<DesignResult> results)
+                      std::span<DesignResult> results,
+                      const ChunkSink &sink)
 {
     // Each worker writes only the slots of the range it was handed,
     // so the reduction is order-independent by construction.  Chunk
@@ -40,15 +51,18 @@ SweepEngine::solveAll(std::span<const DesignInputs> inputs,
     std::vector<WorkerStats> per_worker = pool_.parallelForChunks(
         inputs.size(), 0,
         [&](std::size_t begin, std::size_t end, int) {
-            solveDesignBatch(inputs.subspan(begin, end - begin),
-                             results.subspan(begin, end - begin));
+            const std::span<DesignResult> chunk =
+                results.subspan(begin, end - begin);
+            solveDesignBatch(inputs.subspan(begin, end - begin), chunk);
+            if (sink)
+                sink(begin, chunk);
         });
     solved_.fetch_add(inputs.size(), std::memory_order_relaxed);
     return per_worker;
 }
 
 SweepResult
-SweepEngine::run(const SweepSpec &spec)
+SweepEngine::run(const SweepSpec &spec, const ChunkSink &sink)
 {
     // Serve workers call run() from many threads; each call's solve
     // is its own pool job, and nothing else here touches shared state.
@@ -60,7 +74,7 @@ SweepEngine::run(const SweepSpec &spec)
     SweepResult result;
     result.points.resize(grid.size());
     SweepStats &stats = result.stats;
-    stats.perThread = solveAll(grid, result.points);
+    stats.perThread = solveAll(grid, result.points, sink);
 
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         if (result.points[i].feasible)
@@ -84,19 +98,12 @@ SweepEngine::run(const SweepSpec &spec)
     // bespoke SweepStats struct stays as the per-run view (its JSON
     // shape is pinned by DESIGN.md §9), while the registry is the
     // process-wide aggregation every sweep accumulates into.
-    obs::MetricsRegistry &registry = obs::metrics();
-    registry.counter("engine.sweeps").add(1);
-    registry.counter("engine.grid_points").add(stats.gridPoints);
-    registry.counter("engine.feasible_points")
-        .add(stats.feasiblePoints);
-    registry.counter("engine.frontier_points")
-        .add(stats.frontierPoints);
-    registry.gauge("engine.sweep.points_per_second")
-        .set(stats.pointsPerSecond);
-    registry
-        .histogram("engine.sweep.wall_seconds",
-                   {0.001, 0.01, 0.1, 1.0, 10.0, 100.0})
-        .record(stats.wallSeconds);
+    sweeps_.add(1);
+    gridPoints_.add(stats.gridPoints);
+    feasiblePoints_.add(stats.feasiblePoints);
+    frontierPoints_.add(stats.frontierPoints);
+    pointsPerSecond_.set(stats.pointsPerSecond);
+    sweepWallSeconds_.record(stats.wallSeconds);
     return result;
 }
 
@@ -114,9 +121,9 @@ SweepEngine::solvePoints(std::span<const DesignInputs> points)
     // identical to a serial solve loop at any thread count.
     obs::ScopedSpan span("engine.solve_points", "engine");
     std::vector<DesignResult> results(points.size());
-    solveAll(points, results);
-    obs::metrics().counter("engine.point_batches").add(1);
-    obs::metrics().counter("engine.grid_points").add(points.size());
+    solveAll(points, results, {});
+    pointBatches_.add(1);
+    gridPoints_.add(points.size());
     return results;
 }
 

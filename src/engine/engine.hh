@@ -22,12 +22,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "dse/sweep.hh"
 #include "engine/stats.hh"
 #include "engine/thread_pool.hh"
+#include "obs/metrics.hh"
 
 namespace dronedse::engine {
 
@@ -82,10 +84,25 @@ struct SweepResult
 class SweepEngine
 {
   public:
+    /**
+     * Called once per solved chunk with the grid index of its first
+     * point and its results, on the pool worker that solved it, right
+     * after the solve.  Chunks arrive in no particular order and
+     * concurrently; together they cover the grid exactly once.
+     */
+    using ChunkSink = std::function<void(
+        std::size_t first, std::span<const DesignResult> results)>;
+
     explicit SweepEngine(EngineOptions options = {});
 
-    /** Solve a whole spec; see the determinism contract above. */
-    SweepResult run(const SweepSpec &spec);
+    /**
+     * Solve a whole spec; see the determinism contract above.  A
+     * non-empty `sink` sees every chunk's results while the pool is
+     * still solving the rest, so per-point work that needs only its
+     * own result (a reply's row bytes) runs in parallel with the
+     * solve.
+     */
+    SweepResult run(const SweepSpec &spec, const ChunkSink &sink = {});
 
     /** Single-point solve: exactly `solveDesign(inputs)`. */
     DesignResult solve(const DesignInputs &inputs);
@@ -121,15 +138,25 @@ class SweepEngine
     }
 
   private:
-    /** Solve `inputs` into `results` chunk-wise on the pool and
-     *  return the job's per-worker stats. */
+    /** Solve `inputs` into `results` chunk-wise on the pool, hand
+     *  each chunk to `sink` when set, and return the job's
+     *  per-worker stats. */
     std::vector<WorkerStats>
     solveAll(std::span<const DesignInputs> inputs,
-             std::span<DesignResult> results);
+             std::span<DesignResult> results, const ChunkSink &sink);
 
     ThreadPool pool_;
     /** Points solved by this engine, across all entry points. */
     std::atomic<std::uint64_t> solved_{0};
+
+    // Registry instruments, resolved once at construction.
+    obs::Counter &sweeps_;
+    obs::Counter &gridPoints_;
+    obs::Counter &feasiblePoints_;
+    obs::Counter &frontierPoints_;
+    obs::Counter &pointBatches_;
+    obs::Gauge &pointsPerSecond_;
+    obs::Histogram &sweepWallSeconds_;
 };
 
 /**

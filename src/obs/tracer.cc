@@ -1,6 +1,7 @@
 #include "obs/tracer.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 #include "util/csv.hh"
@@ -9,6 +10,9 @@
 namespace dronedse::obs {
 
 namespace {
+
+/** Tracer ids; 0 never names a tracer. */
+std::atomic<std::uint64_t> nextTracerId{1};
 
 std::string
 num(double v)
@@ -47,7 +51,11 @@ writeFile(const std::string &path, const std::string &doc,
 
 } // namespace
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer()
+    : id_(nextTracerId.fetch_add(1, std::memory_order_relaxed)),
+      epoch_(std::chrono::steady_clock::now())
+{
+}
 
 void
 Tracer::setEnabled(bool on)
@@ -72,11 +80,13 @@ Tracer::localBuffer()
 {
     // One registration per (tracer, thread); the shared_ptr keeps
     // the buffer readable after the thread exits (pool teardown).
+    // The cache is keyed on the tracer's id, not its address: a
+    // tracer built where a dead one lived must not inherit its buffer.
     thread_local std::shared_ptr<ThreadBuffer> buffer;
-    thread_local Tracer *owner = nullptr;
-    if (!buffer || owner != this) {
+    thread_local std::uint64_t owner = 0;
+    if (!buffer || owner != id_) {
         buffer = std::make_shared<ThreadBuffer>();
-        owner = this;
+        owner = id_;
         util::MutexLock lock(buffersMutex_);
         buffer->thread = static_cast<std::uint32_t>(buffers_.size());
         buffers_.push_back(buffer);

@@ -133,6 +133,8 @@ class Tracer
     ThreadBuffer &localBuffer() DDSE_EXCLUDES(buffersMutex_);
     void append(SpanRecord record);
 
+    /** Process-unique, so no two tracers share a thread's cache. */
+    const std::uint64_t id_;
     std::chrono::steady_clock::time_point epoch_;
     std::atomic<bool> enabled_{false};
     mutable util::Mutex buffersMutex_;

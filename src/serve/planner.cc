@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "obs/tracer.hh"
+#include "util/thread_annotations.hh"
 
 namespace dronedse::serve {
 
@@ -133,6 +136,44 @@ serviceLimitViolation(const Request &request)
     return "";
 }
 
+/**
+ * The `results` rows of one sweep, written chunk by chunk on the pool
+ * workers that solved them (the engine's chunk sink) and handed back
+ * in grid order.
+ */
+class SweepRows
+{
+  public:
+    void add(std::size_t first, std::span<const DesignResult> rows)
+        DDSE_EXCLUDES(mutex_)
+    {
+        std::string text;
+        appendSweepRows(text, rows);
+        util::MutexLock lock(mutex_);
+        chunks_.emplace_back(first, std::move(text));
+    }
+
+    /** The chunks in grid order; call once the run has returned. */
+    std::vector<std::string> inGridOrder() DDSE_EXCLUDES(mutex_)
+    {
+        util::MutexLock lock(mutex_);
+        std::sort(chunks_.begin(), chunks_.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        std::vector<std::string> out;
+        out.reserve(chunks_.size());
+        for (auto &chunk : chunks_)
+            out.push_back(std::move(chunk.second));
+        return out;
+    }
+
+  private:
+    util::Mutex mutex_;
+    std::vector<std::pair<std::size_t, std::string>> chunks_
+        DDSE_GUARDED_BY(mutex_);
+};
+
 } // namespace
 
 QueryPlanner::QueryPlanner(engine::SweepEngine &engine)
@@ -172,15 +213,23 @@ QueryPlanner::execute(const Request &request)
         reply = serializeDesignReply(request.id,
                                      engine_.solve(request.point));
         break;
-    case QueryKind::Sweep:
+    case QueryKind::Sweep: {
+        SweepRows rows;
+        const engine::SweepResult result = engine_.run(
+            request.spec,
+            [&rows](std::size_t first,
+                    std::span<const DesignResult> chunk) {
+                rows.add(first, chunk);
+            });
+        reply = serializeSweepReply(request.id, result.points.size(),
+                                    result.feasible.size(),
+                                    result.frontier, rows.inGridOrder());
+        break;
+    }
     case QueryKind::Pareto: {
         const engine::SweepResult result = engine_.run(request.spec);
-        reply = request.kind == QueryKind::Sweep
-                    ? serializeSweepReply(request.id, result.points,
-                                          result.feasible.size(),
-                                          result.frontier)
-                    : serializeParetoReply(request.id, result.points,
-                                           result.frontier);
+        reply = serializeParetoReply(request.id, result.points,
+                                     result.frontier);
         break;
     }
     case QueryKind::Codesign:

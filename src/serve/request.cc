@@ -1,5 +1,6 @@
 #include "serve/request.hh"
 
+#include <charconv>
 #include <cmath>
 #include <concepts>
 #include <optional>
@@ -346,6 +347,12 @@ class Reader
     bool ok_ = true;
 };
 
+/** Sweep `results` entries pre-written by `appendSweepRows`. */
+struct RowChunks
+{
+    std::span<const std::string> chunks;
+};
+
 /**
  * Appends one JSON object's members to `out`, in the order the field
  * list visits them; nested structs and lists go into the same string.
@@ -371,6 +378,19 @@ class Writer
         (*this)(key, value);
     }
 
+    /** A list's entries, comma-separated, without the brackets. */
+    template <std::ranges::range R>
+    void items(const R &range)
+    {
+        bool first = true;
+        for (const auto &item : range) {
+            if (!first)
+                out_ += ", ";
+            first = false;
+            write(item);
+        }
+    }
+
   private:
     template <class T>
     void write(const T &value)
@@ -382,13 +402,32 @@ class Writer
             out_ += enumName(value);
             out_ += '"';
         } else if constexpr (std::is_integral_v<T>) {
-            out_ += std::to_string(value);
+            char buf[24];
+            out_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
         } else if constexpr (std::is_floating_point_v<T>) {
-            out_ += jsonNumber(value);
+            appendJsonNumber(out_, value);
         } else if constexpr (kIsQuantity<T>) {
-            out_ += jsonNumber(value.value());
+            appendJsonNumber(out_, value.value());
         } else if constexpr (std::is_same_v<T, std::string>) {
-            out_ += jsonQuote(value);
+            appendJsonQuoted(out_, value);
+        } else if constexpr (std::is_same_v<T, RowChunks>) {
+            // The reply's last member: reserve its bytes and the
+            // closing "]}" at once, so the reply is allocated once.
+            std::size_t bytes = out_.size() + 3;
+            for (const std::string &chunk : value.chunks)
+                bytes += chunk.size();
+            if (!value.chunks.empty())
+                bytes += 2 * (value.chunks.size() - 1);
+            out_.reserve(bytes);
+            out_ += '[';
+            bool first = true;
+            for (const std::string &chunk : value.chunks) {
+                if (!first)
+                    out_ += ", ";
+                first = false;
+                out_ += chunk;
+            }
+            out_ += ']';
         } else if constexpr (kIsOptional<T>) {
             if (value)
                 write(*value);
@@ -396,13 +435,7 @@ class Writer
                 out_ += "null";
         } else if constexpr (std::ranges::range<T>) {
             out_ += '[';
-            bool first = true;
-            for (const auto &item : value) {
-                if (!first)
-                    out_ += ", ";
-                first = false;
-                write(item);
-            }
+            items(value);
             out_ += ']';
         } else {
             out_ += '{';
@@ -416,12 +449,14 @@ class Writer
     bool first_ = true;
 };
 
-/** `{` + the members `body` writes + `}`. */
+/** `{` + the members `body` writes + `}`, reserved for `bytes`. */
 template <class Body>
 std::string
-writeObject(Body &&body)
+writeObject(Body &&body, std::size_t bytes = 0)
 {
-    std::string out = "{";
+    std::string out;
+    out.reserve(bytes);
+    out += '{';
     Writer w(out);
     body(w);
     out += '}';
@@ -431,13 +466,44 @@ writeObject(Body &&body)
 /** Every reply opens with the request id and the ok flag. */
 template <class Body>
 std::string
-writeReply(std::uint64_t id, bool ok, Body &&body)
+writeReply(std::uint64_t id, bool ok, Body &&body, std::size_t bytes = 0)
 {
-    return writeObject([&](Writer &w) {
-        w("id", id);
-        w("ok", ok);
-        body(w);
-    });
+    return writeObject(
+        [&](Writer &w) {
+            w("id", id);
+            w("ok", ok);
+            body(w);
+        },
+        bytes);
+}
+
+/*
+ * Bytes of one `results` row and its ", " separator: feasible rows
+ * of 17-digit numbers run to 366, and the longest infeasible reason
+ * makes a 74-byte one.  A reply reserves from the rows it writes; a
+ * short guess costs one regrowth, never a byte of output.
+ */
+constexpr std::size_t kFeasibleRowBytes = 368;
+constexpr std::size_t kInfeasibleRowBytes = 74;
+constexpr std::size_t kReplyHeadBytes = 128;
+
+std::size_t
+rowBytes(std::size_t feasible, std::size_t infeasible)
+{
+    return feasible * kFeasibleRowBytes +
+           infeasible * kInfeasibleRowBytes;
+}
+
+/** A sweep reply's members up to its `results` list. */
+void
+writeSweepHead(Writer &w, std::size_t grid_points,
+               std::size_t feasible_count,
+               const std::vector<std::size_t> &frontier)
+{
+    w("kind", QueryKind::Sweep);
+    w("grid_points", grid_points);
+    w("feasible_count", feasible_count);
+    w("frontier", frontier);
 }
 
 // --- writer-only field lists -------------------------------------
@@ -578,10 +644,23 @@ serializeErrorReply(std::uint64_t id, const ErrorReply &err)
 std::string
 serializeDesignReply(std::uint64_t id, const DesignResult &result)
 {
-    return writeReply(id, true, [&](Writer &w) {
-        w("kind", QueryKind::Design);
-        w("result", result);
-    });
+    return writeReply(
+        id, true,
+        [&](Writer &w) {
+            w("kind", QueryKind::Design);
+            w("result", result);
+        },
+        kReplyHeadBytes + kFeasibleRowBytes);
+}
+
+void
+appendSweepRows(std::string &out, std::span<const DesignResult> rows)
+{
+    std::size_t feasible = 0;
+    for (const DesignResult &row : rows)
+        feasible += row.feasible ? 1 : 0;
+    out.reserve(out.size() + rowBytes(feasible, rows.size() - feasible));
+    Writer(out).items(rows);
 }
 
 std::string
@@ -590,12 +669,27 @@ serializeSweepReply(std::uint64_t id,
                     std::size_t feasible_count,
                     const std::vector<std::size_t> &frontier)
 {
+    const std::size_t bytes =
+        kReplyHeadBytes + 8 * frontier.size() +
+        rowBytes(feasible_count, points.size() - feasible_count);
+    return writeReply(
+        id, true,
+        [&](Writer &w) {
+            writeSweepHead(w, points.size(), feasible_count, frontier);
+            w("results", points);
+        },
+        bytes);
+}
+
+std::string
+serializeSweepReply(std::uint64_t id, std::size_t grid_points,
+                    std::size_t feasible_count,
+                    const std::vector<std::size_t> &frontier,
+                    std::span<const std::string> row_chunks)
+{
     return writeReply(id, true, [&](Writer &w) {
-        w("kind", QueryKind::Sweep);
-        w("grid_points", points.size());
-        w("feasible_count", feasible_count);
-        w("frontier", frontier);
-        w("results", points);
+        writeSweepHead(w, grid_points, feasible_count, frontier);
+        w("results", RowChunks{row_chunks});
     });
 }
 
@@ -604,16 +698,21 @@ serializeParetoReply(std::uint64_t id,
                      const std::vector<DesignResult> &points,
                      const std::vector<std::size_t> &frontier)
 {
-    return writeReply(id, true, [&](Writer &w) {
-        w("kind", QueryKind::Pareto);
-        w("grid_points", points.size());
-        w("frontier", frontier);
-        w("results", frontier | std::views::transform(
-                                    [&](std::size_t i)
-                                        -> const DesignResult & {
-                                        return points[i];
-                                    }));
-    });
+    const std::size_t bytes = kReplyHeadBytes + 8 * frontier.size() +
+                              rowBytes(frontier.size(), 0);
+    return writeReply(
+        id, true,
+        [&](Writer &w) {
+            w("kind", QueryKind::Pareto);
+            w("grid_points", points.size());
+            w("frontier", frontier);
+            w("results", frontier | std::views::transform(
+                                        [&](std::size_t i)
+                                            -> const DesignResult & {
+                                            return points[i];
+                                        }));
+        },
+        bytes);
 }
 
 std::string

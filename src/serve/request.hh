@@ -45,6 +45,7 @@
 #define DRONEDSE_SERVE_REQUEST_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,24 @@ serializeSweepReply(std::uint64_t id,
                     const std::vector<DesignResult> &points,
                     std::size_t feasible_count,
                     const std::vector<std::size_t> &frontier);
+/**
+ * The same sweep reply from rows written ahead, chunk by chunk:
+ * `row_chunks` are `appendSweepRows` outputs over consecutive,
+ * non-empty slices of the grid, in grid order.  Byte-identical to
+ * the overload above on the points the chunks were written from.
+ * The reply is allocated once, at its exact size.
+ */
+std::string
+serializeSweepReply(std::uint64_t id, std::size_t grid_points,
+                    std::size_t feasible_count,
+                    const std::vector<std::size_t> &frontier,
+                    std::span<const std::string> row_chunks);
+/**
+ * Appends `rows` as a sweep reply's `results` entries: comma-separated
+ * result objects, without brackets.  Both sweep-reply overloads write
+ * their rows through the same writer.
+ */
+void appendSweepRows(std::string &out, std::span<const DesignResult> rows);
 std::string
 serializeParetoReply(std::uint64_t id,
                      const std::vector<DesignResult> &points,

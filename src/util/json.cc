@@ -1,10 +1,12 @@
 #include "util/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 #include "util/logging.hh"
 
@@ -32,6 +34,33 @@ appendUtf8(std::string &out, unsigned long code_point)
         out += static_cast<char>(0x80 | ((code_point >> 12) & 0x3F));
         out += static_cast<char>(0x80 | ((code_point >> 6) & 0x3F));
         out += static_cast<char>(0x80 | (code_point & 0x3F));
+    }
+}
+
+/** Append `s` with JSON string escapes (no quotes). */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    for (char c : s) {
+        const unsigned char u = static_cast<unsigned char>(c);
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        default:
+            if (u < 0x20) {
+                out += "\\u00";
+                out += kHex[u >> 4];
+                out += kHex[u & 0xF];
+            } else {
+                out += c;
+            }
+        }
     }
 }
 
@@ -160,7 +189,25 @@ class Parser
                    std::isdigit(static_cast<unsigned char>(text_[pos_])))
                 ++pos_;
         }
-        const std::string token = text_.substr(start, pos_ - start);
+        // The token is grammar-checked, so from_chars reads all of it
+        // in place, correctly rounded like strtod.  It reports
+        // overflow *and* underflow as out of range with the value
+        // unset, where strtod gives +-inf or +-0 (a subnormal like
+        // 2.4e-324 rounds to 0), so those tokens, and anything else
+        // from_chars will not read, take the strtod path.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        double value = 0.0;
+        const std::from_chars_result r =
+            std::from_chars(first, last, value);
+        if (r.ec != std::errc() || r.ptr != last)
+            return parseNumberStrtod(std::string(first, last), out);
+        out = JsonValue::number(value);
+        return true;
+    }
+
+    bool parseNumberStrtod(const std::string &token, JsonValue &out)
+    {
         errno = 0;
         char *parse_end = nullptr;
         const double value = std::strtod(token.c_str(), &parse_end);
@@ -350,49 +397,48 @@ jsonEscape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        const unsigned char u = static_cast<unsigned char>(c);
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        case '\b': out += "\\b"; break;
-        case '\f': out += "\\f"; break;
-        default:
-            if (u < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", u);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    appendEscaped(out, s);
     return out;
 }
 
 std::string
 jsonQuote(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out;
+    appendJsonQuoted(out, s);
+    return out;
+}
+
+void
+appendJsonQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
 }
 
 std::string
 jsonNumber(double value, int significant)
 {
-    if (!std::isfinite(value))
-        return "null";
-    if (significant < 1)
-        significant = 1;
-    if (significant > 17)
-        significant = 17;
-    char fmt[8];
-    std::snprintf(fmt, sizeof fmt, "%%.%dg", significant);
-    char buf[64];
-    std::snprintf(buf, sizeof buf, fmt, value);
-    return std::string(buf);
+    std::string out;
+    appendJsonNumber(out, value, significant);
+    return out;
+}
+
+void
+appendJsonNumber(std::string &out, double value, int significant)
+{
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
+    }
+    // %.17g needs at most 24 characters ("-1.2345678901234567e-308").
+    char buf[32];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof buf, value,
+                      std::chars_format::general,
+                      std::clamp(significant, 1, 17));
+    out.append(buf, r.ptr);
 }
 
 JsonValue

@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,11 +38,24 @@ std::string jsonEscape(const std::string &s);
 /** Quote + escape a string as a JSON string literal. */
 std::string jsonQuote(const std::string &s);
 
+/** `jsonQuote(s)`, appended to `out` with no temporary string. */
+void appendJsonQuoted(std::string &out, std::string_view s);
+
 /**
- * Format a double with `significant` digits of %g precision.
- * Non-finite values have no JSON spelling and render as "null".
+ * Format a double with `significant` digits (clamped to 1..17) of
+ * %g precision.  Non-finite values have no JSON spelling and render
+ * as "null".
  */
 std::string jsonNumber(double value, int significant = 17);
+
+/**
+ * `jsonNumber(value, significant)`, appended to `out` with no
+ * temporary string.  The digits come from `std::to_chars` in general
+ * format, which spells every double exactly as printf's `%.*g` does
+ * (held to snprintf in tests/util/test_json.cc).
+ */
+void appendJsonNumber(std::string &out, double value,
+                      int significant = 17);
 
 /**
  * One parsed JSON value.  Objects preserve member order (the wire

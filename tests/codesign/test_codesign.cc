@@ -153,7 +153,7 @@ TEST(Codesign, RecommendationBitIdenticalAcrossThreadCounts)
     // byte-identical at any engine thread count.
     const MissionSpec mission = paperMissionCatalog().front();
     std::string baseline;
-    for (const unsigned threads : {1u, 2u, 8u}) {
+    for (const int threads : {1, 2, 8}) {
         engine::SweepEngine engine{
             engine::EngineOptions{.threads = threads}};
         const CodesignDriver driver{engine};

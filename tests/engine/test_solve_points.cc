@@ -83,9 +83,10 @@ TEST(BestFeasibleIndex, ScansInInputOrderWithStrictDisplacement)
     ASSERT_LT(best, solved.size());
     EXPECT_TRUE(solved[best].feasible);
     for (const DesignResult &res : solved) {
-        if (res.feasible)
+        if (res.feasible) {
             EXPECT_GE(solved[best].flightTimeMin.value(),
                       res.flightTimeMin.value());
+        }
     }
 
     // Duplicates tie: only strictly greater flight time displaces,
@@ -100,8 +101,9 @@ TEST(BestFeasibleIndex, ScansInInputOrderWithStrictDisplacement)
     // The practical filter drops designs outside the class limits.
     const SizeClassSpec &medium = classSpec(SizeClass::Medium);
     const std::size_t practical = bestFeasibleIndex(solved, &medium);
-    if (practical < solved.size())
+    if (practical < solved.size()) {
         EXPECT_TRUE(withinPracticalLimits(solved[practical], medium));
+    }
 }
 
 TEST(BestConfiguration, EngineScanStillMatchesSerialSearch)

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <mutex>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "components/compute_board.hh"
@@ -149,6 +153,45 @@ TEST(SweepEngine, SolveMatchesSolveDesign)
     EXPECT_EQ(counters.hits, 0u);
     EXPECT_EQ(counters.misses, 2u);
     EXPECT_EQ(counters.evictions, 0u);
+}
+
+TEST(SweepEngine, ChunkSinkSeesEveryPointOnceAfterItsSolve)
+{
+    // Each chunk reaches the sink already solved, and the chunks tile
+    // the grid exactly once, at any thread count.
+    const SweepSpec spec = fig10MediumGrid();
+    const std::vector<DesignResult> serial = runSweepSerial(spec);
+    for (const int threads : {1, 2, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        SweepEngine eng{EngineOptions{.threads = threads}};
+        std::mutex mutex;
+        std::vector<std::pair<std::size_t, std::vector<DesignResult>>>
+            chunks;
+        const SweepResult swept = eng.run(
+            spec, [&](std::size_t first,
+                      std::span<const DesignResult> results) {
+                std::vector<DesignResult> copy(results.begin(),
+                                               results.end());
+                std::lock_guard<std::mutex> lock(mutex);
+                chunks.emplace_back(first, std::move(copy));
+            });
+        std::sort(chunks.begin(), chunks.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        std::size_t next = 0;
+        for (const auto &[first, results] : chunks) {
+            ASSERT_EQ(first, next);
+            ASSERT_FALSE(results.empty());
+            for (std::size_t k = 0; k < results.size(); ++k) {
+                SCOPED_TRACE("index " + std::to_string(first + k));
+                expectByteIdentical(serial[first + k], results[k]);
+            }
+            next += results.size();
+        }
+        EXPECT_EQ(next, serial.size());
+        EXPECT_EQ(swept.points.size(), serial.size());
+    }
 }
 
 TEST(SweepEngine, ConcurrentRunsMatchSerial)

@@ -107,8 +107,9 @@ TEST(AdaptiveDriver, FrontierIsParetoConsistentAtAnyBudget)
             }
         }
         for (std::size_t j = 0; j < result.points.size(); ++j) {
-            if (oracle_frontier.contains(keyOf(result.points[j])))
+            if (oracle_frontier.contains(keyOf(result.points[j]))) {
                 EXPECT_TRUE(kept.contains(j)) << "budget " << budget;
+            }
         }
     }
 }
@@ -186,8 +187,9 @@ TEST(AdaptiveDriver, SamplerChoiceChangesTheSearchNotTheContract)
         const double best =
             result.points[result.incumbent].flightTimeMin.value();
         for (const DesignResult &res : result.points) {
-            if (res.feasible)
+            if (res.feasible) {
                 EXPECT_GE(best, res.flightTimeMin.value());
+            }
         }
     }
 }

@@ -162,8 +162,9 @@ TEST(ScenarioBattery, ReportsAreInternallyConsistent)
         EXPECT_EQ(r.transitions.empty(),
                   r.worstMode == FlightMode::Nominal)
             << r.scenario;
-        if (r.crashed)
+        if (r.crashed) {
             EXPECT_EQ(r.tier, OutcomeTier::Crashed) << r.scenario;
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -200,6 +201,22 @@ TEST(Tracer, ClearDropsSpansButKeepsBuffersUsable)
     EXPECT_TRUE(t.snapshot().empty());
     t.recordManual("y", "test", kWallTrack, 2.0, 1.0);
     EXPECT_EQ(t.snapshot().size(), 1u);
+}
+
+TEST(Tracer, NewTracerAtReusedAddressSeesItsOwnSpans)
+{
+    // The second tracer is built in the first one's storage, so a
+    // per-thread buffer cache keyed on the address would hand it the
+    // dead tracer's buffer, which its own snapshot never reads.
+    std::optional<Tracer> slot;
+    for (const char *name : {"first", "second"}) {
+        slot.emplace();
+        slot->setEnabled(true);
+        slot->recordManual(name, "test", kWallTrack, 1.0, 1.0);
+        const auto spans = slot->snapshot();
+        ASSERT_EQ(spans.size(), 1u) << name;
+        EXPECT_EQ(spans[0].name, name);
+    }
 }
 
 #else // !DRONEDSE_TRACING

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/engine.hh"
+#include "engine/pareto.hh"
 #include "explore/driver.hh"
 #include "explore/gate.hh"
 #include "explore/space.hh"
@@ -554,5 +555,106 @@ TEST(ServePlanner, ConcurrentDistinctSweepsKeepTheirOwnResults)
                                       oracle.feasible.size(),
                                       oracle.frontier))
             << "caller " << i;
+    }
+}
+
+namespace {
+
+/** The sweep reply of `request` from the serial sweep. */
+std::string
+serialSweepReply(const Request &request)
+{
+    const std::vector<DesignResult> serial = runSweepSerial(request.spec);
+    std::size_t feasible = 0;
+    for (const DesignResult &point : serial)
+        feasible += point.feasible ? 1 : 0;
+    return serializeSweepReply(request.id, serial, feasible,
+                               engine::paretoFrontier(serial));
+}
+
+/** One grid point: one chunk at any thread count. */
+Request
+oneChunkSweep(std::uint64_t id)
+{
+    Request request = validSweep(id);
+    request.spec.cells = {4};
+    request.spec.capacityHiMah = request.spec.capacityLoMah;
+    return request;
+}
+
+/** 3 x 2 x 2 x 6 x 29 = 2,088 points: many chunks at 2 and 8. */
+Request
+manyChunkSweep(std::uint64_t id)
+{
+    Request request = validSweep(id);
+    request.spec.airframes = {
+        SweepAirframe{Quantity<Millimeters>(300.0), {}},
+        SweepAirframe{Quantity<Millimeters>(450.0), {}},
+        SweepAirframe{Quantity<Millimeters>(600.0), {}}};
+    request.spec.boards.push_back(ComputeBoardRecord{
+        "Improved 20W chip", BoardClass::Improved, 50.0, 20.0});
+    request.spec.activities = {FlightActivity::Hovering,
+                               FlightActivity::Maneuvering};
+    request.spec.cells = {1, 2, 3, 4, 5, 6};
+    request.spec.capacityLoMah = Quantity<MilliampHours>(1000.0);
+    request.spec.capacityHiMah = Quantity<MilliampHours>(8000.0);
+    request.spec.capacityStepMah = Quantity<MilliampHours>(250.0);
+    return request;
+}
+
+/** A payload no airframe lifts: every row is an infeasible one. */
+Request
+allInfeasibleSweep(std::uint64_t id)
+{
+    Request request = manyChunkSweep(id);
+    request.spec.payloadG = Quantity<Grams>(100000.0);
+    return request;
+}
+
+} // namespace
+
+TEST(ChunkedSweepReply, MatchesSerialOracleAtAnyThreadCount)
+{
+    // The planner writes a sweep's rows chunk by chunk on the pool
+    // workers; the assembled reply must be the serial sweep's.
+    const std::vector<Request> requests = {
+        oneChunkSweep(1), manyChunkSweep(2), allInfeasibleSweep(3)};
+    for (const int threads : {1, 2, 8}) {
+        engine::SweepEngine engine{
+            engine::EngineOptions{.threads = threads}};
+        QueryPlanner planner{engine};
+        for (const Request &request : requests) {
+            SCOPED_TRACE("threads " + std::to_string(threads) +
+                         ", request " + std::to_string(request.id));
+            const std::string oracle = serialSweepReply(request);
+            EXPECT_EQ(planner.execute(request), oracle);
+        }
+    }
+    EXPECT_EQ(serialSweepReply(allInfeasibleSweep(3))
+                  .find("\"feasible\": true"),
+              std::string::npos);
+}
+
+TEST(ChunkedSweepReply, ConcurrentCallersMatchSerialOracle)
+{
+    // Two callers' chunks interleave on one pool; each reply must
+    // hold its own rows, in grid order.
+    engine::SweepEngine engine{engine::EngineOptions{.threads = 8}};
+    QueryPlanner planner{engine};
+    Request other = manyChunkSweep(5);
+    other.spec.capacityLoMah = Quantity<MilliampHours>(1100.0);
+    const std::vector<Request> requests = {manyChunkSweep(4), other};
+    std::vector<std::string> replies(requests.size());
+    for (int round = 0; round < 4; ++round) {
+        std::vector<std::thread> callers;
+        for (std::size_t i = 0; i < requests.size(); ++i)
+            callers.emplace_back([&, i] {
+                replies[i] = planner.execute(requests[i]);
+            });
+        for (std::thread &caller : callers)
+            caller.join();
+        for (std::size_t i = 0; i < requests.size(); ++i)
+            EXPECT_EQ(replies[i], serialSweepReply(requests[i]))
+                << "round " << round << ", caller " << i;
     }
 }

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -190,4 +196,123 @@ TEST(Json, FuzzRoundTrip)
             << once;
         EXPECT_EQ(reparsed->dump(), once) << "trial " << trial;
     }
+}
+
+namespace {
+
+/**
+ * Doubles both number codecs must agree on: seeded random bit
+ * patterns, random subnormals, +-0, the powers of ten from 1e-320 to
+ * 1e308, and the extremes of the range.
+ */
+std::vector<double>
+numberCorpus()
+{
+    std::vector<double> out = {0.0,
+                               -0.0,
+                               DBL_MAX,
+                               -DBL_MAX,
+                               DBL_MIN,
+                               -DBL_MIN,
+                               std::numeric_limits<double>::denorm_min(),
+                               -std::numeric_limits<double>::denorm_min(),
+                               0.1,
+                               1.0 / 3.0,
+                               123456789012345678.0};
+    for (int e = -320; e <= 308; ++e)
+        out.push_back(std::strtod(("1e" + std::to_string(e)).c_str(),
+                                  nullptr));
+    Rng rng(20261019);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof value);
+        if (std::isfinite(value))
+            out.push_back(value);
+    }
+    for (int i = 0; i < 2000; ++i) {
+        // Exponent field 0: a subnormal (or zero) of either sign.
+        const std::uint64_t bits =
+            rng.next() & 0x800FFFFFFFFFFFFFULL;
+        double value = 0.0;
+        std::memcpy(&value, &bits, sizeof value);
+        out.push_back(value);
+    }
+    return out;
+}
+
+std::string
+printfNumber(const char *format, int precision, double value)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf, format, precision, value);
+    return buf;
+}
+
+/** strtod's verdict on a whole token, as the reader's fallback has it. */
+std::optional<double>
+strtodOracle(const std::string &token)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size() || !std::isfinite(value))
+        return std::nullopt;
+    return value;
+}
+
+void
+expectReaderMatchesStrtod(const std::string &token)
+{
+    const std::optional<double> expected = strtodOracle(token);
+    const std::optional<JsonValue> got = parseJson(token);
+    ASSERT_EQ(got.has_value(), expected.has_value()) << token;
+    if (!expected)
+        return;
+    ASSERT_TRUE(got->isNumber()) << token;
+    const double value = got->asNumber();
+    EXPECT_EQ(std::memcmp(&value, &*expected, sizeof value), 0)
+        << token << " read as " << printfNumber("%.*g", 17, value);
+}
+
+} // namespace
+
+TEST(Json, NumberWriterMatchesPrintfAtEveryPrecision)
+{
+    for (const double value : numberCorpus()) {
+        for (int significant = 1; significant <= 17; ++significant) {
+            const std::string expected =
+                printfNumber("%.*g", significant, value);
+            std::string appended = "x";
+            appendJsonNumber(appended, value, significant);
+            ASSERT_EQ(appended, "x" + expected)
+                << "significant " << significant;
+            ASSERT_EQ(jsonNumber(value, significant), expected);
+        }
+    }
+}
+
+TEST(Json, NumberReaderMatchesStrtod)
+{
+    for (const double value : numberCorpus()) {
+        expectReaderMatchesStrtod(printfNumber("%.*g", 17, value));
+        expectReaderMatchesStrtod(printfNumber("%.*g", 6, value));
+        expectReaderMatchesStrtod(printfNumber("%.*e", 20, value));
+    }
+    // Underflow reads as +-0 and overflow is rejected, as with strtod.
+    for (const char *token :
+         {"1e-400", "-1e-400", "2.4e-324", "1e400", "-1e400",
+          "1.7976931348623157e308", "1.7976931348623159e308",
+          "4.9406564584124654e-324", "2.4703282292062328e-324"})
+        expectReaderMatchesStrtod(token);
+    // An 800-digit mantissa, read as an integer (out of range), as a
+    // fraction, and scaled back into range.
+    Rng rng(800);
+    std::string digits = "7";
+    while (digits.size() < 800)
+        digits += static_cast<char>('0' + rng.uniformInt(0, 9));
+    for (const std::string &token :
+         {digits, "0." + digits, "-" + digits + "e-790",
+          digits + "e-1120"})
+        expectReaderMatchesStrtod(token);
 }
