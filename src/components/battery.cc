@@ -1,6 +1,7 @@
 #include "components/battery.hh"
 
 #include <array>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/units.hh"
@@ -112,11 +113,6 @@ generateBatteryCatalog(Rng &rng, int packs_per_config)
             const double noise = rng.gaussian(0.0, 0.03);
             rec.weightG = fit.at(rec.capacityMah) *
                           (1.0 + 0.04 * c_penalty + noise);
-            rec.name = std::to_string(cells) + "S1P-" +
-                       std::to_string(static_cast<int>(rec.capacityMah)) +
-                       "mAh-" +
-                       std::to_string(static_cast<int>(rec.dischargeC)) +
-                       "C";
             catalog.push_back(rec);
         }
     }

@@ -12,7 +12,6 @@
 #ifndef DRONEDSE_COMPONENTS_BATTERY_HH
 #define DRONEDSE_COMPONENTS_BATTERY_HH
 
-#include <string>
 #include <vector>
 
 #include "util/quantity.hh"
@@ -29,7 +28,6 @@ namespace dronedse {
  */
 struct BatteryRecord
 {
-    std::string name;
     /** Series cell count (1S..6S). */
     int cells = 1;
     /** Capacity in mAh. */

@@ -47,10 +47,6 @@ generateEscCatalog(Rng &rng, int per_class)
             rec.weight4xG = std::max(
                 fit.at(rec.maxCurrentA) * (1.0 + rng.gaussian(0.0, 0.05)),
                 10.0);
-            rec.name = std::string(cls == EscClass::LongFlight ? "LF" : "SF") +
-                       "-ESC-" +
-                       std::to_string(static_cast<int>(rec.maxCurrentA)) +
-                       "A";
             catalog.push_back(rec);
         }
     }

@@ -12,7 +12,6 @@
 #ifndef DRONEDSE_COMPONENTS_ESC_HH
 #define DRONEDSE_COMPONENTS_ESC_HH
 
-#include <string>
 #include <vector>
 
 #include "util/enum_names.hh"
@@ -42,7 +41,6 @@ wireNames(EscClass)
 /** One commercial ESC model. */
 struct EscRecord
 {
-    std::string name;
     EscClass escClass = EscClass::LongFlight;
     /** Max continuous current per ESC (A). */
     double maxCurrentA = 0.0;

@@ -79,11 +79,11 @@ padLane(BlockState &st, std::size_t l)
  * before iterating (the result already carries its verdict).
  */
 bool
-setupLane(const DesignInputs &in, DesignResult &res, BlockState &st,
-          std::size_t l)
+setupLane(const DesignInputs &in, const SurveyModel &model,
+          DesignResult &res, BlockState &st, std::size_t l)
 {
     ClosureSetup &setup = st.setup[l];
-    if (!setupClosure(in, SurveyModel::paper(), res, setup))
+    if (!setupClosure(in, model, res, setup))
         return false;
 
     st.fixedW[l] = setup.fixedWeight.value();
@@ -122,16 +122,30 @@ finishLane(const DesignInputs &in, DesignResult &res,
     finishClosure(in, setup, loop, res);
 }
 
-/** One block of up to `kBatchLaneWidth` designs, SoA fixed point. */
+/** Element `i` of a per-design span; a one-element span is shared. */
+template <typename T>
+const T &
+laneAt(std::span<const T> values, std::size_t i)
+{
+    return values[values.size() == 1 ? 0 : i];
+}
+
+/**
+ * One block of up to `kBatchLaneWidth` designs, SoA fixed point:
+ * lane `l` solves design `first + l` into `results[l]`.
+ */
 void
 solveBlock(std::span<const DesignInputs> inputs,
+           std::span<const SurveyModel> models, std::size_t first,
            std::span<DesignResult> results)
 {
     BlockState st;
     std::size_t n_active = 0;
     for (std::size_t l = 0; l < kW; ++l) {
         padLane(st, l);
-        if (l < inputs.size() && setupLane(inputs[l], results[l], st, l))
+        if (l < results.size() &&
+            setupLane(laneAt(inputs, first + l), laneAt(models, first + l),
+                      results[l], st, l))
             ++n_active;
     }
 
@@ -186,10 +200,22 @@ solveBlock(std::span<const DesignInputs> inputs,
     // Lanes still active after 60 iterations are non-converged, the
     // same verdict the scalar loop reaches by falling out of it.
 
-    for (std::size_t l = 0; l < inputs.size(); ++l) {
+    for (std::size_t l = 0; l < results.size(); ++l) {
         if (results[l].infeasibleReason != InfeasibleReason::None)
             continue; // finished in the prologue
-        finishLane(inputs[l], results[l], st, l);
+        finishLane(laneAt(inputs, first + l), results[l], st, l);
+    }
+}
+
+/** Every design of `results`, a block at a time. */
+void
+solveBlocks(std::span<const DesignInputs> inputs,
+            std::span<const SurveyModel> models,
+            std::span<DesignResult> results)
+{
+    for (std::size_t first = 0; first < results.size(); first += kW) {
+        const std::size_t n = std::min(kW, results.size() - first);
+        solveBlock(inputs, models, first, results.subspan(first, n));
     }
 }
 
@@ -201,10 +227,17 @@ solveDesignBatch(std::span<const DesignInputs> inputs,
 {
     if (inputs.size() != results.size())
         fatal("solveDesignBatch: inputs/results size mismatch");
-    for (std::size_t begin = 0; begin < inputs.size(); begin += kW) {
-        const std::size_t n = std::min(kW, inputs.size() - begin);
-        solveBlock(inputs.subspan(begin, n), results.subspan(begin, n));
-    }
+    solveBlocks(inputs, {&SurveyModel::paper(), 1}, results);
+}
+
+void
+solveDesignBatch(const DesignInputs &point,
+                 std::span<const SurveyModel> models,
+                 std::span<DesignResult> results)
+{
+    if (models.size() != results.size())
+        fatal("solveDesignBatch: models/results size mismatch");
+    solveBlocks({&point, 1}, models, results);
 }
 
 std::vector<DesignResult>

@@ -16,11 +16,16 @@
  * convergence.  Setup and finish are the scalar path's own
  * `setupClosure` and `finishClosure` (weight_closure.hh).
  *
+ * The survey fits are read per lane: the grid overload solves every
+ * lane under `SurveyModel::paper()`, the Monte-Carlo overload solves
+ * one point under a different perturbed model in every lane.  Both
+ * run the same block loop.
+ *
  * Bit-exactness contract: for every input, the batch result is
- * byte-identical to `solveDesign` — same doubles, same feasibility
- * verdicts.  The lane loop replays the scalar loop's exact IEEE
- * operation sequence (same association, divisions kept as
- * divisions, conversion factors taken from the same `Quantity`
+ * byte-identical to `solveDesign(x, model)` — same doubles, same
+ * feasibility verdicts.  The lane loop replays the scalar loop's
+ * exact IEEE operation sequence (same association, divisions kept
+ * as divisions, conversion factors taken from the same `Quantity`
  * machinery), which is bit-preserving because the build never
  * enables -ffast-math or FMA contraction.  The scalar
  * `closeWeightLoop` is the oracle; `tests/dse/test_batch_differential.cc`
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "dse/design_point.hh"
+#include "dse/weight_closure.hh"
 
 namespace dronedse {
 
@@ -56,6 +62,16 @@ inline constexpr std::size_t kBatchLaneWidth = 8;
  * element; see the file comment for the contract.
  */
 void solveDesignBatch(std::span<const DesignInputs> inputs,
+                      std::span<DesignResult> results);
+
+/**
+ * Solve one design point under `models.size()` survey-fit sets, one
+ * per lane, into `results` (spans must be equal length).
+ * Byte-identical to `solveDesign(point, models[i])` for every `i`;
+ * the Monte-Carlo samples of `propagateUncertainty` run here.
+ */
+void solveDesignBatch(const DesignInputs &point,
+                      std::span<const SurveyModel> models,
                       std::span<DesignResult> results);
 
 /** Convenience overload returning a freshly allocated vector. */

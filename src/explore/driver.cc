@@ -358,14 +358,23 @@ AdaptiveDriver::run(const ExploreSpace &space)
 
     result.incumbent = engine::bestFeasibleIndex(result.points);
 
-    obs::MetricsRegistry &registry = obs::metrics();
-    registry.counter("explore.runs").add(1);
-    registry.counter("explore.evaluations").add(result.points.size());
-    registry.counter("explore.rounds").add(result.rounds.size());
-    registry.counter("explore.frontier_points")
-        .add(result.frontier.size());
-    if (result.converged)
-        registry.counter("explore.converged").add(1);
+    // Registered once per process; each run then adds without taking
+    // the registry mutex.
+    static obs::Counter &runs = obs::metrics().counter("explore.runs");
+    static obs::Counter &evaluations =
+        obs::metrics().counter("explore.evaluations");
+    static obs::Counter &rounds = obs::metrics().counter("explore.rounds");
+    static obs::Counter &frontier_points =
+        obs::metrics().counter("explore.frontier_points");
+    runs.add(1);
+    evaluations.add(result.points.size());
+    rounds.add(result.rounds.size());
+    frontier_points.add(result.frontier.size());
+    if (result.converged) {
+        static obs::Counter &converged =
+            obs::metrics().counter("explore.converged");
+        converged.add(1);
+    }
     return result;
 }
 

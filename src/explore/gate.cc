@@ -149,12 +149,19 @@ runRiskQuery(const RiskQuery &query, const FitScatter &scatter)
         propagateUncertainty(query.point, query.options, scatter);
     outcome.report = evaluateGates(outcome.uncertainty, query.gates);
 
-    obs::MetricsRegistry &registry = obs::metrics();
-    registry.counter("explore.risk_queries").add(1);
-    registry.counter("explore.risk_samples")
-        .add(outcome.uncertainty.samples);
-    if (!outcome.report.allPass)
-        registry.counter("explore.risk_gate_failures").add(1);
+    // Registered once per process; each query then adds without
+    // taking the registry mutex.
+    static obs::Counter &queries =
+        obs::metrics().counter("explore.risk_queries");
+    static obs::Counter &samples =
+        obs::metrics().counter("explore.risk_samples");
+    queries.add(1);
+    samples.add(outcome.uncertainty.samples);
+    if (!outcome.report.allPass) {
+        static obs::Counter &gate_failures =
+            obs::metrics().counter("explore.risk_gate_failures");
+        gate_failures.add(1);
+    }
     return outcome;
 }
 

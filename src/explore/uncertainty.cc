@@ -1,10 +1,13 @@
 #include "explore/uncertainty.hh"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "components/battery.hh"
 #include "components/esc.hh"
 #include "components/frame.hh"
+#include "dse/batch_solve.hh"
 #include "util/logging.hh"
 
 namespace dronedse::explore {
@@ -126,21 +129,32 @@ propagateUncertainty(const DesignInputs &point,
 
     // A fresh Rng per call means every design sees the identical
     // perturbation stream: common random numbers, so per-design
-    // deltas are paired comparisons.
+    // deltas are paired comparisons.  The models are drawn serially,
+    // in that stream's order, a block at a time; each block is solved
+    // as batch-kernel lanes.
     Rng rng(options.seed);
     const SurveyModel &base = SurveyModel::paper();
+    constexpr std::size_t kSampleBlock = 8 * kBatchLaneWidth;
+    std::array<SurveyModel, kSampleBlock> models;
+    std::array<DesignResult, kSampleBlock> results;
     std::vector<double> flight, weight;
     flight.reserve(options.samples);
     weight.reserve(options.samples);
-    for (std::size_t i = 0; i < options.samples; ++i) {
-        const SurveyModel model =
-            perturbSurveyModel(base, scatter, rng);
-        const DesignResult res = solveDesign(point, model);
-        if (!res.feasible)
-            continue;
-        ++out.feasibleSamples;
-        flight.push_back(res.flightTimeMin.value());
-        weight.push_back(res.totalWeightG.value());
+    for (std::size_t begin = 0; begin < options.samples;
+         begin += kSampleBlock) {
+        const std::size_t n =
+            std::min(kSampleBlock, options.samples - begin);
+        for (std::size_t i = 0; i < n; ++i)
+            models[i] = perturbSurveyModel(base, scatter, rng);
+        solveDesignBatch(point, std::span(models).first(n),
+                         std::span(results).first(n));
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!results[i].feasible)
+                continue;
+            ++out.feasibleSamples;
+            flight.push_back(results[i].flightTimeMin.value());
+            weight.push_back(results[i].totalWeightG.value());
+        }
     }
     if (!flight.empty()) {
         out.flightTimeMin = Ecdf(std::move(flight));

@@ -17,7 +17,8 @@
  *                          and measuring the recovered spread
  *   `perturbSurveyModel` — one Gaussian draw of every coefficient
  *   `propagateUncertainty` — Monte-Carlo over perturbed models: one
- *                          solve per sampled coefficient set, flight
+ *                          solve per sampled coefficient set, each
+ *                          a lane of the batch kernel, flight
  *                          time and all-up weight collected into
  *                          exact ECDFs (feasible samples only; the
  *                          feasible fraction is reported separately)

@@ -9,11 +9,17 @@
  *       including infeasible and non-converging corners;
  *   (c) feasibility-boundary points located by bisection, where a
  *       masked lane sits one ULP-scale step from flipping verdicts
- *       and any drift in the iteration would surface first.
+ *       and any drift in the iteration would surface first;
+ *   (d) one point under a different perturbed `SurveyModel` per lane,
+ *       the Monte-Carlo overload `propagateUncertainty` runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "components/compute_board.hh"
@@ -163,4 +169,131 @@ TEST(BatchDifferential, SpanAndVectorOverloadsAgree)
         SCOPED_TRACE("index " + std::to_string(i));
         expectByteIdentical(from_vector[i], from_span[i]);
     }
+}
+
+namespace {
+
+/**
+ * A list of `count` survey-fit sets around the paper's, from `seed`:
+ * most coefficients scattered by 10%, and some models pushed into
+ * the closure's failure modes — a battery intercept that leaves no
+ * positive fixed weight, or an ESC slope steep enough that the
+ * weight loop runs away.
+ */
+std::vector<SurveyModel>
+perturbedModels(std::uint64_t seed, std::size_t count)
+{
+    Rng rng(seed);
+    std::vector<SurveyModel> models;
+    for (std::size_t i = 0; i < count; ++i) {
+        SurveyModel m = SurveyModel::paper();
+        for (LinearFit &fit : m.batteryFits) {
+            fit.slope *= rng.gaussian(1.0, 0.1);
+            fit.intercept *= rng.gaussian(1.0, 0.1);
+        }
+        for (LinearFit &fit : m.escFits) {
+            fit.slope *= rng.gaussian(1.0, 0.1);
+            fit.intercept *= rng.gaussian(1.0, 0.1);
+        }
+        m.frameFit.slope *= rng.gaussian(1.0, 0.1);
+        m.frameFit.intercept *= rng.gaussian(1.0, 0.1);
+        const double mode = rng.uniform();
+        if (mode < 0.15) {
+            for (LinearFit &fit : m.batteryFits)
+                fit.intercept = -1.0e5;
+        } else if (mode < 0.3) {
+            for (LinearFit &fit : m.escFits)
+                fit.slope *= 200.0;
+        }
+        models.push_back(m);
+    }
+    return models;
+}
+
+/** Batch-solve one point under `models`, split at `cuts`. */
+std::vector<DesignResult>
+solveSplit(const DesignInputs &point, std::span<const SurveyModel> models,
+           const std::vector<std::size_t> &cuts)
+{
+    std::vector<DesignResult> results(models.size());
+    std::size_t begin = 0;
+    for (std::size_t end : cuts) {
+        solveDesignBatch(point, models.subspan(begin, end - begin),
+                         std::span<DesignResult>(results).subspan(
+                             begin, end - begin));
+        begin = end;
+    }
+    return results;
+}
+
+} // namespace
+
+TEST(BatchDifferential, PerLaneSurveyModelsMatchScalar)
+{
+    DesignInputs reference;
+    reference.wheelbaseMm = 450.0_mm;
+    reference.cells = 3;
+    reference.capacityMah = 5000.0_mah;
+    DesignInputs four_cell = reference;
+    four_cell.cells = 4;
+    four_cell.capacityMah = 2000.0_mah;
+    four_cell.compute = advancedChip20W();
+    // C-rating infeasible at the paper fits.
+    DesignInputs tiny_pack = reference;
+    tiny_pack.wheelbaseMm = 200.0_mm;
+    tiny_pack.cells = 4;
+    tiny_pack.capacityMah = 100.0_mah;
+    DesignInputs big_prop = reference;
+    big_prop.wheelbaseMm = 800.0_mm;
+    big_prop.cells = 6;
+    big_prop.capacityMah = 8000.0_mah;
+    big_prop.propDiameterIn = Quantity<Inches>(15.0);
+    big_prop.payloadG = 300.0_g;
+
+    std::map<InfeasibleReason, std::size_t> reasons;
+    for (std::uint64_t seed : {3ull, 17ull, 9001ull}) {
+        const std::vector<SurveyModel> models = perturbedModels(seed, 65);
+        const std::span<const SurveyModel> all(models);
+        for (const DesignInputs &point :
+             {reference, four_cell, tiny_pack, big_prop}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                         std::to_string(point.wheelbaseMm.value()) +
+                         " mm " + std::to_string(point.cells) + "S");
+            std::vector<DesignResult> scalar;
+            for (const SurveyModel &m : models)
+                scalar.push_back(solveDesign(point, m));
+            for (const DesignResult &r : scalar)
+                ++reasons[r.infeasibleReason];
+
+            // Sample counts on and off the lane width.
+            for (std::size_t n : {1u, 7u, 9u, 65u}) {
+                SCOPED_TRACE(std::to_string(n) + " samples");
+                std::vector<DesignResult> batch(n);
+                solveDesignBatch(point, all.first(n),
+                                 std::span<DesignResult>(batch));
+                for (std::size_t i = 0; i < n; ++i) {
+                    SCOPED_TRACE("lane " + std::to_string(i));
+                    expectByteIdentical(scalar[i], batch[i]);
+                }
+            }
+
+            // Any split of the model list gives the same bytes.
+            for (const std::vector<std::size_t> &cuts :
+                 std::vector<std::vector<std::size_t>>{
+                     {65}, {1, 8, 17, 65}, {7, 16, 64, 65}, {33, 65}}) {
+                const std::vector<DesignResult> split =
+                    solveSplit(point, all, cuts);
+                for (std::size_t i = 0; i < models.size(); ++i) {
+                    SCOPED_TRACE("split lane " + std::to_string(i));
+                    expectByteIdentical(scalar[i], split[i]);
+                }
+            }
+        }
+    }
+    // Lanes finish feasible, in the prologue, in the loop and in the
+    // epilogue.
+    for (InfeasibleReason reason :
+         {InfeasibleReason::None, InfeasibleReason::NonPositiveFixedWeight,
+          InfeasibleReason::Diverged, InfeasibleReason::CRating})
+        EXPECT_GT(reasons[reason], 0u) << enumName(reason);
 }

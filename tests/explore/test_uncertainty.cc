@@ -56,6 +56,71 @@ TEST(FitScatter, DerivedScatterIsPositiveAndReproducible)
     EXPECT_LT(a.frameSlopeSd, 0.1 * paperFrameFit().slope);
 }
 
+/** Raw bits of a double, so a pin fails on any changed ulp. */
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+/**
+ * Every standard deviation of a scatter, in `perturbSurveyModel`'s
+ * draw order: battery 1S..6S, ESC short/long, frame; slope before
+ * intercept.
+ */
+std::array<std::uint64_t, 20>
+scatterBits(const FitScatter &s)
+{
+    std::array<std::uint64_t, 20> bits{};
+    std::size_t k = 0;
+    for (int i = 0; i < 6; ++i) {
+        bits[k++] = bitsOf(s.batterySlopeSd[i]);
+        bits[k++] = bitsOf(s.batteryInterceptSd[i]);
+    }
+    for (int i = 0; i < 2; ++i) {
+        bits[k++] = bitsOf(s.escSlopeSd[i]);
+        bits[k++] = bitsOf(s.escInterceptSd[i]);
+    }
+    bits[k++] = bitsOf(s.frameSlopeSd);
+    bits[k++] = bitsOf(s.frameInterceptSd);
+    return bits;
+}
+
+TEST(FitScatter, CoefficientsArePinnedBitForBit)
+{
+    // The scatter refits synthetic catalogs drawn from one `Rng` per
+    // replicate, so these bits move if any catalog generator adds,
+    // drops or reorders a draw.  The literals predate the removal of
+    // the battery and ESC record names.
+    const std::array<std::uint64_t, 20> seed17_rep64 = {
+        0x3f2ffa11999adc7cULL, 0x3fd6c058e728561eULL, // 1S
+        0x3f4269c47eeb8fb0ULL, 0x3feb7ff4d9d215a9ULL, // 2S
+        0x3f4f13b11f0cd1d4ULL, 0x400d01a8419663ebULL, // 3S
+        0x3f5250bb96846d1fULL, 0x401283522a5354dcULL, // 4S
+        0x3f56cf37332b0bf5ULL, 0x40177bf65015e321ULL, // 5S
+        0x3f5f423a1dd5792eULL, 0x4021f69a15753486ULL, // 6S
+        0x3fa5579b7da45c1fULL, 0x3ffa7d1ddbfc2142ULL, // ESC short
+        0x3fc3362888135fe2ULL, 0x4017cd90483320f5ULL, // ESC long
+        0x3fa7a920cad83d7cULL, 0x40384dbb2d3bb7b9ULL, // frame
+    };
+    const std::array<std::uint64_t, 20> seed9001_rep2 = {
+        0x3f03ec01e98a9e49ULL, 0x3fab3b724d5dd6c4ULL, // 1S
+        0x3f46b33aad4da88dULL, 0x3ff60b4e6f6459e2ULL, // 2S
+        0x3f3220681b5bd667ULL, 0x4004e0026646c1afULL, // 3S
+        0x3f50a7f3a8f9d3ebULL, 0x40035def02a504a9ULL, // 4S
+        0x3f588a606d01e95fULL, 0x4023926d7738f446ULL, // 5S
+        0x3f526f8aa292e141ULL, 0x401c62b81516044cULL, // 6S
+        0x3f9f75a5595fe021ULL, 0x3fdb5b435764f2dbULL, // ESC short
+        0x3fc293c311b4707bULL, 0x401316bf75ca7e45ULL, // ESC long
+        0x3fb39d0ffd8e60e6ULL, 0x403e10238fb026b4ULL, // frame
+    };
+    EXPECT_EQ(scatterBits(FitScatter::fromCatalogs(17, 64)), seed17_rep64);
+    EXPECT_EQ(scatterBits(FitScatter::fromCatalogs(9001, 2)),
+              seed9001_rep2);
+}
+
 TEST(Uncertainty, PropagationIsDeterministicPerSeed)
 {
     const DesignInputs point = referencePoint();
@@ -95,15 +160,6 @@ TEST(Uncertainty, DistributionBracketsTheNominalSolve)
               res.nominal.flightTimeMin.value());
     EXPECT_LT(res.totalWeightG.min(), res.nominal.totalWeightG.value());
     EXPECT_GT(res.totalWeightG.max(), res.nominal.totalWeightG.value());
-}
-
-/** Raw bits of a double, so a pin fails on any changed ulp. */
-std::uint64_t
-bitsOf(double value)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof bits);
-    return bits;
 }
 
 /** The 0.05/0.5/0.95 quantiles of one ECDF, as bit patterns. */
