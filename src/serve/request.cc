@@ -221,13 +221,27 @@ fields(V &v, S &t)
 // --- visitors ----------------------------------------------------
 
 /**
- * Reads one JSON object through a field list.  The first violation
- * lands in `err` as InvalidRequest and every later member is skipped.
+ * The entries of one container in a frame's entry list: the first is
+ * at `begin`, each next one at the previous one's `end`.
+ */
+struct Entries
+{
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/**
+ * Reads one object of a validated frame through a field list, each
+ * value in place.  The first violation lands in `err` as
+ * InvalidRequest and every later member is skipped.
  */
 class Reader
 {
   public:
-    Reader(const JsonValue &obj, ErrorReply &err) : obj_(obj), err_(err)
+    /** `entries` lists the frame's entries, as `skipDocument` does. */
+    Reader(std::string_view frame, const std::vector<JsonEntry> &entries,
+           Entries members, ErrorReply &err)
+        : frame_(frame), entries_(entries), members_(members), err_(err)
     {
     }
 
@@ -251,19 +265,30 @@ class Reader
     {
         if (!ok_)
             return;
-        const JsonValue *value = obj_.find(key);
-        if (!value) {
+        // Of two duplicate keys the first wins.
+        const std::string_view name = key;
+        std::size_t i = members_.begin;
+        while (i < members_.end && !entries_[i].is(name))
+            i = entries_[i].end;
+        if (i == members_.end) {
             if (required)
                 fail(std::string(key) + " is required");
             return;
         }
         if constexpr (std::is_enum_v<T>) {
             // An empty spelling leaves an optional enum at its default.
-            if (!required && value->isString() &&
-                value->asString().empty())
+            if (!required && frame_.substr(entries_[i].value, 2) == "\"\"")
                 return;
         }
-        read(*value, key, false, member);
+        read(i, key, false, member);
+    }
+
+    std::size_t count(Entries items) const
+    {
+        std::size_t n = 0;
+        for (std::size_t i = items.begin; i < items.end; i = entries_[i].end)
+            ++n;
+        return n;
     }
 
     bool fail(std::string message)
@@ -274,33 +299,41 @@ class Reader
         return false;
     }
 
-    /** `value` into `out`; `entry` marks an array element of `key`. */
+    /**
+     * The value of entry `at` into `out`; `entry` marks an item of
+     * `key`.
+     */
     template <class T>
-    bool read(const JsonValue &value, const char *key, bool entry,
-              T &out)
+    bool read(std::size_t at, const char *key, bool entry, T &out)
     {
         const auto mustBe = [&](const std::string &what) {
             return fail(std::string(key) + (entry ? " entry" : "") +
                         " must be " + what);
         };
+        const std::size_t pos = entries_[at].value;
+        const Entries items{at + 1, entries_[at].end};
+        const char c = frame_[pos];
         if constexpr (std::is_same_v<T, bool>) {
-            if (!value.isBool())
+            if (c != 't' && c != 'f')
                 return mustBe("a boolean");
-            out = value.asBool();
+            out = c == 't';
         } else if constexpr (std::is_same_v<T, std::string>) {
-            if (!value.isString())
+            if (c != '"')
                 return mustBe("a string");
-            out = value.asString();
+            JsonScanner(frame_, pos).readString(out);
         } else if constexpr (std::is_enum_v<T>) {
-            if (!value.isString())
+            if (c != '"')
                 return mustBe("a string");
-            if (!parseEnum(value.asString(), out))
-                return fail("unknown " + std::string(key) + " '" +
-                            value.asString() + "'");
+            std::string name;
+            JsonScanner(frame_, pos).readString(name);
+            if (!parseEnum(name, out))
+                return fail("unknown " + std::string(key) + " '" + name +
+                            "'");
         } else if constexpr (std::is_arithmetic_v<T> || kIsQuantity<T>) {
-            if (!value.isNumber())
+            if (c != '-' && (c < '0' || c > '9'))
                 return mustBe("a number");
-            const double v = value.asNumber();
+            double v = 0.0;
+            JsonScanner(frame_, pos).readNumber(v);
             if constexpr (std::is_same_v<T, int>) {
                 // Within +-1e9, so the cast is defined.
                 if (std::floor(v) != v || v < -1e9 || v > 1e9)
@@ -314,35 +347,43 @@ class Reader
                 out = T(v);
             }
         } else if constexpr (kIsArray<T>) {
-            if (!value.isArray() || value.items().size() != out.size())
-                return mustBe("an array of " +
-                              std::to_string(out.size()) + " entries");
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                if (!read(value.items()[i], key, true, out[i]))
+            const std::string what =
+                "an array of " + std::to_string(out.size()) + " entries";
+            if (c != '[')
+                return mustBe(what);
+            if (count(items) != out.size())
+                return mustBe(what);
+            std::size_t i = items.begin;
+            for (auto &element : out) {
+                if (!read(i, key, true, element))
                     return false;
+                i = entries_[i].end;
             }
         } else if constexpr (kIsVector<T>) {
-            if (!value.isArray())
+            if (c != '[')
                 return mustBe("an array");
             out.clear();
-            out.reserve(value.items().size());
-            for (const JsonValue &item : value.items()) {
+            out.reserve(count(items));
+            for (std::size_t i = items.begin; i < items.end;
+                 i = entries_[i].end) {
                 typename T::value_type element{};
-                if (!read(item, key, true, element))
+                if (!read(i, key, true, element))
                     return false;
                 out.push_back(std::move(element));
             }
         } else {
-            if (!value.isObject())
+            if (c != '{')
                 return mustBe("an object");
-            Reader nested(value, err_);
+            Reader nested(frame_, entries_, items, err_);
             fields(nested, out);
             ok_ = nested.ok();
         }
         return ok_;
     }
 
-    const JsonValue &obj_;
+    std::string_view frame_;
+    const std::vector<JsonEntry> &entries_;
+    const Entries members_;
     ErrorReply &err_;
     bool ok_ = true;
 };
@@ -614,17 +655,26 @@ errorCodeName(ErrorCode code)
 bool
 parseRequest(const std::string &frame, Request &out, ErrorReply &err)
 {
-    out = Request{};
-    std::string parse_error;
-    const std::optional<JsonValue> doc =
-        parseJson(frame, &parse_error);
-    if (!doc || !doc->isObject()) {
+    // A swap, not `out = Request{}`: gcc 12 at -O3 warns that the
+    // assigned temporary's strings may be used uninitialized.
+    Request fresh;
+    std::swap(out, fresh);
+    // One pass checks the whole frame, so a grammar error anywhere
+    // wins over any field error, and lists every entry to read.
+    std::vector<JsonEntry> entries;
+    entries.reserve(32);
+    JsonScanner scan(frame);
+    if (!scan.skipDocument(&entries)) {
         err.code = ErrorCode::ParseError;
-        err.message =
-            doc ? "request frame must be a JSON object" : parse_error;
+        err.message = scan.error();
         return false;
     }
-    Reader reader(*doc, err);
+    if (frame[frame.find_first_not_of(" \t\n\r")] != '{') {
+        err.code = ErrorCode::ParseError;
+        err.message = "request frame must be a JSON object";
+        return false;
+    }
+    Reader reader(frame, entries, Entries{0, entries.size()}, err);
     fields(reader, out);
     return reader.ok();
 }

@@ -1,39 +1,36 @@
 /**
  * @file
- * Minimal JSON writer helpers and a strict reader.
+ * Minimal JSON writer helpers and a strict in-place scanner.
  *
  * One serialization home (with util/csv's RFC-4180 pair) for every
  * boundary that speaks text: the serve wire protocol, obs metric
  * snapshots, and engine sweep stats.
  * The writer helpers (`jsonQuote`, `jsonNumber`) are the former
  * private copies from obs/metrics.cc and engine/stats.hh, promoted
- * so the emitted spellings cannot drift apart; the reader is a
- * hand-rolled recursive-descent parser in the style of `parseCsv`,
- * except that it *returns* errors instead of fatal()ing — the serve
- * layer must answer malformed frames with typed error replies, not
- * die.
+ * so the emitted spellings cannot drift apart.
+ *
+ * The reader builds nothing.  `JsonScanner` reads one token at a time
+ * straight from the text's bytes and *returns* errors instead of
+ * fatal()ing — the serve layer must answer malformed frames with
+ * typed error replies, not die.  Skipping a value validates it and
+ * can list where each array or object entry in it starts, so a
+ * caller checks a whole document in one pass and then reads just the
+ * values it wants, in place.
  *
  * Strictness (RFC 8259): no NaN/Infinity tokens, no leading zeros,
  * no trailing garbage, no raw control characters in strings, correct
- * surrogate-pair handling, bounded nesting depth.  `dump` emits a
- * canonical spelling, so dump -> parse -> dump is a byte-identical
- * fixed point (fuzz-tested in tests/util/test_json.cc).
+ * surrogate-pair handling, bounded nesting depth.
  */
 
 #ifndef DRONEDSE_UTIL_JSON_HH
 #define DRONEDSE_UTIL_JSON_HH
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace dronedse {
-
-/** Escape a string's content for a JSON string literal (no quotes). */
-std::string jsonEscape(const std::string &s);
 
 /** Quote + escape a string as a JSON string literal. */
 std::string jsonQuote(const std::string &s);
@@ -58,71 +55,113 @@ void appendJsonNumber(std::string &out, double value,
                       int significant = 17);
 
 /**
- * One parsed JSON value.  Objects preserve member order (the wire
- * protocol's canonical frames are order-sensitive for byte-identical
- * round trips); lookups scan linearly, which is fine at protocol
- * sizes.
+ * One entry of an array or object, as `JsonScanner::skipValue` lists
+ * it: depth first, so the entries of the container this one holds
+ * follow it and end at `end`.
  */
-class JsonValue
+struct JsonEntry
 {
-  public:
-    enum class Kind
+    /** The member's quoted key token; empty for an array item. */
+    std::string_view key;
+    /** Offset of the value's first byte. */
+    std::size_t value = 0;
+    /**
+     * One past the last entry nested in this one's value: the next
+     * entry of the same container, if there is one.
+     */
+    std::size_t end = 0;
+    /** Whether `key` holds an escape, so must be decoded to compare. */
+    bool escaped = false;
+
+    /** Whether the key reads as `name` once unescaped. */
+    bool is(std::string_view name) const
     {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    using Member = std::pair<std::string, JsonValue>;
-
-    /** Null by default. */
-    JsonValue() = default;
-
-    static JsonValue boolean(bool v);
-    static JsonValue number(double v);
-    static JsonValue string(std::string v);
-    static JsonValue array(std::vector<JsonValue> items);
-    static JsonValue object(std::vector<Member> members);
-
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
-    bool isNumber() const { return kind_ == Kind::Number; }
-    bool isString() const { return kind_ == Kind::String; }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
-
-    /** Accessors panic() on a kind mismatch (internal bug). */
-    bool asBool() const;
-    double asNumber() const;
-    const std::string &asString() const;
-    const std::vector<JsonValue> &items() const;
-    const std::vector<Member> &members() const;
-
-    /** Object member by key; nullptr when absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
-
-    /** Canonical serialization (see file comment). */
-    std::string dump(int significant = 17) const;
+        if (escaped)
+            return decodedKeyIs(name);
+        return key.size() == name.size() + 2 &&
+               key.substr(1, name.size()) == name;
+    }
 
   private:
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    double number_ = 0.0;
-    std::string string_;
-    std::vector<JsonValue> items_;
-    std::vector<Member> members_;
+    bool decodedKeyIs(std::string_view name) const;
 };
 
 /**
- * Parse one JSON document.  Returns nullopt on malformed input and,
- * when `error` is non-null, stores a "byte N: reason" diagnostic.
+ * A strict scanner over one JSON text.  Each call reads the token at
+ * `pos()`, after any whitespace, and moves past it.  On malformed
+ * input a call returns false and `error()` keeps the first
+ * "byte N: reason" diagnostic.
  */
-std::optional<JsonValue> parseJson(const std::string &text,
-                                   std::string *error = nullptr);
+class JsonScanner
+{
+  public:
+    explicit JsonScanner(std::string_view text, std::size_t pos = 0)
+        : text_(text), pos_(pos)
+    {
+    }
+
+    std::size_t pos() const { return pos_; }
+    const std::string &error() const { return error_; }
+
+    void skipWhitespace()
+    {
+        while (pos_ < text_.size() &&
+               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                text_[pos_] == '\n' || text_[pos_] == '\r'))
+            ++pos_;
+    }
+
+    /** Consumes `c` if it is the next byte after whitespace. */
+    bool consume(char c);
+
+    /**
+     * One whole document: a value, then nothing but whitespace.  See
+     * `skipValue` for `entries`.
+     */
+    bool skipDocument(std::vector<JsonEntry> *entries = nullptr)
+    {
+        return skipValue(0, entries) && expectEnd();
+    }
+
+    /**
+     * Validates one value and moves past it.  A value nested more
+     * than 96 levels below `depth` fails.  With `entries`, every
+     * entry of every array and object in the value is appended to it,
+     * depth first, so one pass both checks a document and indexes it.
+     * The value's own entries then start at the first appended one,
+     * each at the previous one's `end`.
+     */
+    bool skipValue(int depth = 0, std::vector<JsonEntry> *entries = nullptr);
+
+    /** A number token, read as `strtod` reads it (bit for bit). */
+    bool readNumber(double &out)
+    {
+        skipWhitespace();
+        return scanNumber(&out);
+    }
+
+    /** A string token, unescaped into `out` as UTF-8. */
+    bool readString(std::string &out)
+    {
+        skipWhitespace();
+        out.clear();
+        return scanString(&out);
+    }
+
+  private:
+    bool fail(const char *reason);
+    bool expectEnd();
+    bool literal(std::string_view word);
+    bool scanNumber(double *out);
+    bool scanHex4(unsigned long &out);
+    bool scanString(std::string *out);
+    bool skipContainer(char close, int depth,
+                       std::vector<JsonEntry> *entries);
+
+    std::string_view text_;
+    std::size_t pos_;
+    std::string error_;
+};
 
 } // namespace dronedse
 

@@ -9,6 +9,7 @@
 
 #include "explore/space.hh"
 #include "serve/service.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 
 using namespace dronedse;
@@ -264,6 +265,121 @@ randomRisk(Rng &rng)
     return query;
 }
 
+// --- lenient spellings of a canonical frame ------------------------
+
+/** Up to three bytes of JSON whitespace. */
+std::string
+randomSpace(Rng &rng)
+{
+    static const char kSpace[] = {' ', '\t', '\r', '\n'};
+    std::string out;
+    for (auto n = rng.uniformInt(0, 3); n > 0; --n)
+        out += kSpace[rng.uniformInt(0, 3)];
+    return out;
+}
+
+/** A JSON value no field list reads, nested up to four levels. */
+std::string
+randomJunk(Rng &rng, int depth)
+{
+    switch (rng.uniformInt(0, depth >= 4 ? 3 : 5)) {
+    case 0: return "null";
+    case 1: return rng.uniform() < 0.5 ? "true" : "false";
+    case 2: return jsonNumber(randomReal(rng));
+    case 3: return R"("café \"q\" \\ \n 😀 \/")";
+    case 4: {
+        std::string out = "[" + randomSpace(rng);
+        for (auto n = rng.uniformInt(0, 4); n > 0; --n)
+            out += randomJunk(rng, depth + 1) + (n > 1 ? ", " : "");
+        return out + "]";
+    }
+    default: {
+        std::string out = "{";
+        for (auto n = rng.uniformInt(0, 4); n > 0; --n)
+            out += "\"k" + std::to_string(n) + "\":" + randomSpace(rng) +
+                   randomJunk(rng, depth + 1) + (n > 1 ? "," : "");
+        return out + "}";
+    }
+    }
+}
+
+/** The quoted key `token`, some of its bytes written as \u escapes. */
+std::string
+escapeSome(std::string_view token, Rng &rng)
+{
+    static const char kHex[] = "0123456789abcdef";
+    std::string out = "\"";
+    for (const char c : token.substr(1, token.size() - 2)) {
+        if (rng.uniform() < 0.2) {
+            out += "\\u00";
+            out += kHex[(c >> 4) & 0xF];
+            out += kHex[c & 0xF];
+        } else {
+            out += c;
+        }
+    }
+    return out + "\"";
+}
+
+/**
+ * The canonical JSON value at `pos` of `text`, spelled as a lenient
+ * client might: every object's members shuffled, some keys escaped,
+ * unknown members and later duplicates of known keys (the first of
+ * two wins) mixed in, and random whitespace around every token.
+ */
+void
+respell(std::string_view text, std::size_t pos, Rng &rng, std::string &out)
+{
+    const char open = text[pos];
+    if (open != '{' && open != '[') {
+        JsonScanner scan(text, pos);
+        scan.skipValue();
+        out += text.substr(pos, scan.pos() - pos);
+        return;
+    }
+    std::vector<JsonEntry> entries;
+    JsonScanner(text, pos).skipValue(0, &entries);
+    std::vector<std::string> parts;
+    for (std::size_t i = 0; i < entries.size(); i = entries[i].end) {
+        const JsonEntry &entry = entries[i];
+        std::string part = randomSpace(rng);
+        if (open == '{')
+            part += escapeSome(entry.key, rng) + randomSpace(rng) + ":" +
+                    randomSpace(rng);
+        respell(text, entry.value, rng, part);
+        parts.push_back(part + randomSpace(rng));
+    }
+    if (open == '[') {
+        out += open;
+        for (std::size_t i = 0; i < parts.size(); ++i)
+            out += (i > 0 ? "," : "") + parts[i];
+        out += randomSpace(rng) + "]";
+        return;
+    }
+    for (std::size_t i = parts.size(); i > 1; --i)
+        std::swap(parts[i - 1], parts[static_cast<std::size_t>(
+                                     rng.uniformInt(0, i - 1))]);
+    // A duplicate goes after the member it repeats, so never wins.
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+        if (rng.uniform() >= 0.2)
+            continue;
+        const std::string key = parts[i].substr(0, parts[i].find(':'));
+        const auto at = rng.uniformInt(static_cast<std::int64_t>(i) + 1,
+                                       static_cast<std::int64_t>(parts.size()));
+        parts.insert(parts.begin() + at, key + ":" + randomJunk(rng, 0));
+    }
+    for (auto n = rng.uniformInt(0, 2); n > 0; --n) {
+        const auto at = rng.uniformInt(0, static_cast<std::int64_t>(parts.size()));
+        parts.insert(parts.begin() + at,
+                     escapeSome("\"zz_unknown\"", rng) + ":" +
+                         randomJunk(rng, 0));
+    }
+    out += open;
+    for (std::size_t i = 0; i < parts.size(); ++i)
+        out += (i > 0 ? "," : "") + parts[i];
+    out += randomSpace(rng) + "}";
+}
+
 /** serialize -> parse -> serialize is a byte-identical fixed point. */
 void
 expectFixedPoint(const Request &request, int trial)
@@ -320,7 +436,8 @@ TEST(ServeRequest, MissingFieldsKeepDefaults)
     EXPECT_EQ(parsed.cls, QueryClass::Interactive);
 
     const auto parses = [&](const char *frame) {
-        parsed = Request{};
+        Request fresh;
+        std::swap(parsed, fresh);
         EXPECT_TRUE(parseRequest(frame, parsed, err))
             << frame << ": " << err.message;
     };
@@ -512,6 +629,39 @@ TEST(ServeRequest, FuzzExploreAndRiskSerializeParseSerialize)
             request.risk = randomRisk(rng);
         }
         expectFixedPoint(request, trial);
+    }
+}
+
+TEST(ServeRequest, FuzzLenientSpellingsParseToTheCanonicalFrame)
+{
+    // Member order, key escapes, whitespace, unknown members and
+    // later duplicates change nothing the reader returns.
+    Rng rng(2611);
+    for (int trial = 0; trial < 300; ++trial) {
+        Request request;
+        request.id = randomCount(rng);
+        request.cls = randomEnum<QueryClass>(rng);
+        request.kind = randomEnum<QueryKind>(rng);
+        switch (request.kind) {
+        case QueryKind::Design: request.point = randomPoint(rng); break;
+        case QueryKind::Codesign:
+            request.mission = randomMission(rng);
+            break;
+        case QueryKind::Explore: request.explore = randomExplore(rng); break;
+        case QueryKind::Risk: request.risk = randomRisk(rng); break;
+        default: request.spec = randomSpec(rng); break;
+        }
+        const std::string canonical = serializeRequest(request);
+        std::string frame;
+        respell(canonical, 0, rng, frame);
+        Request parsed;
+        ErrorReply err;
+        ASSERT_TRUE(parseRequest(frame, parsed, err))
+            << "trial " << trial << ": " << err.message << "\n"
+            << frame;
+        EXPECT_EQ(serializeRequest(parsed), canonical)
+            << "trial " << trial << "\n"
+            << frame;
     }
 }
 

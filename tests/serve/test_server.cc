@@ -15,7 +15,6 @@
 #include "dse/sweep.hh"
 #include "dse/weight_closure.hh"
 #include "serve/transport.hh"
-#include "util/json.hh"
 
 #include "../engine/pareto_oracle.hh"
 
@@ -141,10 +140,9 @@ TEST(ServeTransport, ConcurrentHandleFrameRepliesMatchTheirFrames)
                     id, 2000.0 + static_cast<double>(id));
                 const std::string reply = service.handleFrame(
                     serializeRequest(request), 0.0);
-                const auto doc = parseJson(reply);
-                if (!doc || !doc->find("id") ||
-                    doc->find("id")->asNumber() !=
-                        static_cast<double>(id) ||
+                // Every reply opens with its id and the ok flag.
+                if (!reply.starts_with("{\"id\": " + std::to_string(id) +
+                                       ", \"ok\": ") ||
                     reply != serializeDesignReply(
                                  id, solveDesign(request.point)))
                     ++mismatches[static_cast<std::size_t>(t)];
@@ -222,10 +220,10 @@ TEST(ServeOverload, ShedsInsteadOfUnboundedLatency)
     for (const LocalExchange &exchange : transport.exchanges()) {
         if (exchange.rejected)
             continue;
-        const auto doc = parseJson(exchange.reply);
-        ASSERT_TRUE(doc.has_value());
-        const std::uint64_t id = static_cast<std::uint64_t>(
-            doc->find("id")->asNumber());
+        // Every reply opens with `{"id": N, `.
+        ASSERT_TRUE(exchange.reply.starts_with("{\"id\": "))
+            << exchange.reply;
+        const std::uint64_t id = std::stoull(exchange.reply.substr(7));
         const double latency = exchange.t - submit_t.at(id);
         EXPECT_LE(latency, bound);
         latencies.push_back(latency);

@@ -19,11 +19,15 @@ using namespace dronedse;
 
 TEST(Json, EscapeAndQuote)
 {
-    EXPECT_EQ(jsonEscape("plain"), "plain");
     EXPECT_EQ(jsonQuote("plain"), "\"plain\"");
     EXPECT_EQ(jsonQuote("a\"b\\c"), "\"a\\\"b\\\\c\"");
     EXPECT_EQ(jsonQuote(std::string("tab\there\nnl")),
               "\"tab\\there\\nnl\"");
+    EXPECT_EQ(jsonQuote(std::string("ctl\x01\x1f", 5)),
+              "\"ctl\\u0001\\u001f\"");
+    std::string appended = "x";
+    appendJsonQuoted(appended, "q\"");
+    EXPECT_EQ(appended, "x\"q\\\"\"");
 }
 
 TEST(Json, NumberFormatting)
@@ -40,48 +44,104 @@ TEST(Json, NumberFormatting)
 
 TEST(Json, ParseScalars)
 {
-    EXPECT_TRUE(parseJson("null")->isNull());
-    EXPECT_EQ(parseJson("true")->asBool(), true);
-    EXPECT_EQ(parseJson("false")->asBool(), false);
-    EXPECT_DOUBLE_EQ(parseJson("-12.75e1")->asNumber(), -127.5);
-    EXPECT_EQ(parseJson("\"hi\"")->asString(), "hi");
+    for (const char *doc : {"null", "true", "false", " -12.75e1 ",
+                            "\"hi\"", "0"})
+        EXPECT_TRUE(JsonScanner(doc).skipDocument()) << doc;
+    double number = 0.0;
+    JsonScanner scan(" -12.75e1,");
+    ASSERT_TRUE(scan.readNumber(number));
+    EXPECT_DOUBLE_EQ(number, -127.5);
+    EXPECT_TRUE(scan.consume(','));
+    std::string text = "stale";
+    ASSERT_TRUE(JsonScanner("\"hi\"").readString(text));
+    EXPECT_EQ(text, "hi");
+}
+
+TEST(Json, SkipValueStopsAfterOneValue)
+{
+    const std::string doc = R"({"a": [1, {"b": "}"}], "c": 2} tail)";
+    JsonScanner scan(doc);
+    ASSERT_TRUE(scan.skipValue());
+    EXPECT_EQ(doc.substr(scan.pos()), " tail");
+    EXPECT_FALSE(scan.consume(']'));
+    EXPECT_TRUE(scan.error().empty());
 }
 
 TEST(Json, ParseContainers)
 {
-    const auto doc =
-        parseJson("{\"a\": [1, 2, 3], \"b\": {\"c\": \"d\"}}");
-    ASSERT_TRUE(doc.has_value());
-    ASSERT_TRUE(doc->isObject());
-    const JsonValue *a = doc->find("a");
-    ASSERT_NE(a, nullptr);
-    ASSERT_TRUE(a->isArray());
-    ASSERT_EQ(a->items().size(), 3u);
-    EXPECT_DOUBLE_EQ(a->items()[1].asNumber(), 2.0);
-    const JsonValue *b = doc->find("b");
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->find("c")->asString(), "d");
-    EXPECT_EQ(doc->find("missing"), nullptr);
+    const std::string doc =
+        R"({"z": [1, [], 3], "a": {"c": "d"}, "m": 3, "z": null})";
+    std::vector<JsonEntry> entries;
+    ASSERT_TRUE(JsonScanner(doc).skipDocument(&entries));
+    // z, its three items, a, its member c, m, z.
+    ASSERT_EQ(entries.size(), 8u);
+    std::vector<std::size_t> top;
+    for (std::size_t i = 0; i < entries.size(); i = entries[i].end)
+        top.push_back(i);
+    EXPECT_EQ(top, (std::vector<std::size_t>{0, 4, 6, 7}));
+    EXPECT_TRUE(entries[0].is("z"));
+    EXPECT_TRUE(entries[4].is("a"));
+    EXPECT_TRUE(entries[5].is("c"));
+    EXPECT_TRUE(entries[6].is("m"));
+    EXPECT_TRUE(entries[7].is("z"));
+    EXPECT_FALSE(entries[0].is("a"));
+    EXPECT_EQ(doc.substr(entries[6].value, 1), "3");
+    EXPECT_EQ(doc.substr(entries[7].value, 4), "null");
+
+    // Array items have no key; an empty container has no entries.
+    EXPECT_TRUE(entries[1].key.empty());
+    EXPECT_EQ(entries[2].end, 3u);
+    double third = 0.0;
+    ASSERT_TRUE(JsonScanner(doc, entries[3].value).readNumber(third));
+    EXPECT_EQ(third, 3.0);
+
+    // A skip from inside a document appends what it finds.
+    ASSERT_TRUE(JsonScanner(doc, entries[4].value).skipValue(0, &entries));
+    ASSERT_EQ(entries.size(), 9u);
+    EXPECT_TRUE(entries[8].is("c"));
+
+    std::vector<JsonEntry> none;
+    EXPECT_TRUE(JsonScanner(" { } ").skipDocument(&none));
+    EXPECT_TRUE(JsonScanner("[ ]").skipDocument(&none));
+    EXPECT_TRUE(JsonScanner("7").skipDocument(&none));
+    EXPECT_TRUE(none.empty());
 }
 
 TEST(Json, ObjectsPreserveMemberOrder)
 {
-    const auto doc = parseJson("{\"z\": 1, \"a\": 2, \"m\": 3}");
-    ASSERT_TRUE(doc.has_value());
-    const auto &members = doc->members();
+    std::vector<JsonEntry> members;
+    ASSERT_TRUE(
+        JsonScanner(R"({"z": 1, "a": 2, "m": 3})").skipDocument(&members));
     ASSERT_EQ(members.size(), 3u);
-    EXPECT_EQ(members[0].first, "z");
-    EXPECT_EQ(members[1].first, "a");
-    EXPECT_EQ(members[2].first, "m");
+    EXPECT_TRUE(members[0].is("z"));
+    EXPECT_TRUE(members[1].is("a"));
+    EXPECT_TRUE(members[2].is("m"));
+}
+
+TEST(Json, EscapedKeysMatchTheirDecodedSpelling)
+{
+    const std::string doc =
+        R"({"\u0069d": 1, "p\"q": 2, "caf\u00e9": 3, "plain": 4})";
+    std::vector<JsonEntry> members;
+    ASSERT_TRUE(JsonScanner(doc).skipDocument(&members));
+    ASSERT_EQ(members.size(), 4u);
+    EXPECT_TRUE(members[0].escaped);
+    EXPECT_TRUE(members[0].is("id"));
+    EXPECT_FALSE(members[0].is("\\u0069d"));
+    EXPECT_TRUE(members[1].is("p\"q"));
+    EXPECT_TRUE(members[2].is("caf\xc3\xa9"));
+    EXPECT_FALSE(members[3].escaped);
+    EXPECT_TRUE(members[3].is("plain"));
+    EXPECT_FALSE(members[3].is("plai"));
 }
 
 TEST(Json, UnicodeEscapes)
 {
-    const auto doc = parseJson("\"\\u0041\\u00e9\\ud83d\\ude00\"");
-    ASSERT_TRUE(doc.has_value());
-    // A, e-acute (2 UTF-8 bytes), grinning-face (4 bytes).
-    EXPECT_EQ(doc->asString(),
-              std::string("A\xc3\xa9\xf0\x9f\x98\x80"));
+    std::string text;
+    ASSERT_TRUE(
+        JsonScanner("\"\\u0041\\u00e9\\ud83d\\ude00\\/\"").readString(text));
+    // A, e-acute (2 UTF-8 bytes), grinning-face (4 bytes), solidus.
+    EXPECT_EQ(text, std::string("A\xc3\xa9\xf0\x9f\x98\x80/"));
 }
 
 TEST(Json, RejectsMalformedDocuments)
@@ -102,100 +162,44 @@ TEST(Json, RejectsMalformedDocuments)
         "\"unterminated",
         "\"bad \\x escape\"",
         "\"\\ud800\"", // lone high surrogate
+        "\"\\udc00\"", // lone low surrogate
+        "\"\\ud800\\u0041\"", // high surrogate, then no low one
+        "\"\\u12\"",
         "{\"a\": 1} trailing",
         "{\"a\": 1,}",
         "[1,]",
         "'single'",
         "\"raw\tcontrol\"",
+        "1e400",
     };
     for (const std::string &text : bad) {
-        std::string error;
-        EXPECT_FALSE(parseJson(text, &error).has_value())
-            << "accepted: " << text;
-        EXPECT_FALSE(error.empty()) << "no diagnostic for: " << text;
+        JsonScanner scan(text);
+        EXPECT_FALSE(scan.skipDocument()) << "accepted: " << text;
+        EXPECT_FALSE(scan.error().empty())
+            << "no diagnostic for: " << text;
     }
+    // The first error is the one reported, at its byte.
+    JsonScanner scan("[1, tru, 01]");
+    EXPECT_FALSE(scan.skipDocument());
+    EXPECT_EQ(scan.error(), "byte 4: unexpected token");
 }
 
 TEST(Json, RejectsOverDeepNesting)
 {
-    std::string deep;
-    for (int i = 0; i < 200; ++i)
-        deep += '[';
-    for (int i = 0; i < 200; ++i)
-        deep += ']';
-    EXPECT_FALSE(parseJson(deep).has_value());
-}
-
-TEST(Json, DumpParseDumpFixedPoint)
-{
-    const std::vector<std::string> canonical = {
-        "null",
-        "true",
-        "[1, 2.5, \"three\"]",
-        "{\"a\": [], \"b\": {}, \"c\": \"\\\"quoted\\\"\"}",
+    const auto nested = [](int depth) {
+        return std::string(static_cast<std::size_t>(depth), '[') +
+               std::string(static_cast<std::size_t>(depth), ']');
     };
-    for (const std::string &text : canonical) {
-        const auto doc = parseJson(text);
-        ASSERT_TRUE(doc.has_value()) << text;
-        EXPECT_EQ(doc->dump(), text);
-    }
-}
-
-namespace {
-
-JsonValue
-randomValue(Rng &rng, int depth)
-{
-    const int kind = depth >= 4 ? rng.uniformInt(0, 3)
-                                : rng.uniformInt(0, 5);
-    switch (kind) {
-    case 0: return JsonValue();
-    case 1: return JsonValue::boolean(rng.uniform() < 0.5);
-    case 2:
-        return JsonValue::number(
-            std::round(rng.uniform(-1e6, 1e6) * 1e3) / 1e3);
-    case 3: {
-        std::string s;
-        const int len = rng.uniformInt(0, 12);
-        for (int i = 0; i < len; ++i)
-            s += static_cast<char>(rng.uniformInt(32, 126));
-        return JsonValue::string(std::move(s));
-    }
-    case 4: {
-        std::vector<JsonValue> items;
-        const int len = rng.uniformInt(0, 4);
-        for (int i = 0; i < len; ++i)
-            items.push_back(randomValue(rng, depth + 1));
-        return JsonValue::array(std::move(items));
-    }
-    default: {
-        std::vector<JsonValue::Member> members;
-        const int len = rng.uniformInt(0, 4);
-        for (int i = 0; i < len; ++i)
-            members.emplace_back("k" + std::to_string(i),
-                                 randomValue(rng, depth + 1));
-        return JsonValue::object(std::move(members));
-    }
-    }
-}
-
-} // namespace
-
-TEST(Json, FuzzRoundTrip)
-{
-    // Seeded, so failures reproduce: dump -> parse -> dump must be a
-    // byte-identical fixed point for arbitrary generated values.
-    Rng rng(20260805);
-    for (int trial = 0; trial < 500; ++trial) {
-        const JsonValue value = randomValue(rng, 0);
-        const std::string once = value.dump();
-        std::string error;
-        const auto reparsed = parseJson(once, &error);
-        ASSERT_TRUE(reparsed.has_value())
-            << "trial " << trial << ": " << error << "\n"
-            << once;
-        EXPECT_EQ(reparsed->dump(), once) << "trial " << trial;
-    }
+    // The outermost array is depth 0, so 97 levels are the most.
+    EXPECT_TRUE(JsonScanner(nested(97)).skipDocument());
+    const std::string too_deep = nested(98);
+    JsonScanner deeper(too_deep);
+    EXPECT_FALSE(deeper.skipDocument());
+    EXPECT_EQ(deeper.error(), "byte 97: nesting too deep");
+    EXPECT_FALSE(JsonScanner(nested(200)).skipDocument());
+    // A skip from inside a document counts from its own `depth`.
+    EXPECT_TRUE(JsonScanner(nested(90)).skipValue(7));
+    EXPECT_FALSE(JsonScanner(nested(90)).skipValue(8));
 }
 
 namespace {
@@ -265,12 +269,16 @@ void
 expectReaderMatchesStrtod(const std::string &token)
 {
     const std::optional<double> expected = strtodOracle(token);
-    const std::optional<JsonValue> got = parseJson(token);
-    ASSERT_EQ(got.has_value(), expected.has_value()) << token;
+    // A skip checks the range of the same tokens a read does.
+    ASSERT_EQ(JsonScanner(token).skipDocument(), expected.has_value())
+        << token;
+    double value = 0.0;
+    JsonScanner scan(token);
+    ASSERT_EQ(scan.readNumber(value) && scan.pos() == token.size(),
+              expected.has_value())
+        << token;
     if (!expected)
         return;
-    ASSERT_TRUE(got->isNumber()) << token;
-    const double value = got->asNumber();
     EXPECT_EQ(std::memcmp(&value, &*expected, sizeof value), 0)
         << token << " read as " << printfNumber("%.*g", 17, value);
 }
