@@ -283,6 +283,7 @@ class Reader
         read(i, key, false, member);
     }
 
+    /** How many entries `items` holds. */
     std::size_t count(Entries items) const
     {
         std::size_t n = 0;
@@ -347,12 +348,9 @@ class Reader
                 out = T(v);
             }
         } else if constexpr (kIsArray<T>) {
-            const std::string what =
-                "an array of " + std::to_string(out.size()) + " entries";
-            if (c != '[')
-                return mustBe(what);
-            if (count(items) != out.size())
-                return mustBe(what);
+            if (c != '[' || count(items) != out.size())
+                return mustBe("an array of " + std::to_string(out.size()) +
+                              " entries");
             std::size_t i = items.begin;
             for (auto &element : out) {
                 if (!read(i, key, true, element))

@@ -104,16 +104,6 @@ appendJsonNumber(std::string &out, double value, int significant)
 }
 
 bool
-JsonScanner::consume(char c)
-{
-    skipWhitespace();
-    if (pos_ >= text_.size() || text_[pos_] != c)
-        return false;
-    ++pos_;
-    return true;
-}
-
-bool
 JsonScanner::fail(const char *reason)
 {
     if (error_.empty())

@@ -103,17 +103,6 @@ class JsonScanner
     std::size_t pos() const { return pos_; }
     const std::string &error() const { return error_; }
 
-    void skipWhitespace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    /** Consumes `c` if it is the next byte after whitespace. */
-    bool consume(char c);
-
     /**
      * One whole document: a value, then nothing but whitespace.  See
      * `skipValue` for `entries`.
@@ -149,6 +138,14 @@ class JsonScanner
     }
 
   private:
+    void skipWhitespace()
+    {
+        while (pos_ < text_.size() &&
+               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                text_[pos_] == '\n' || text_[pos_] == '\r'))
+            ++pos_;
+    }
+
     bool fail(const char *reason);
     bool expectEnd();
     bool literal(std::string_view word);

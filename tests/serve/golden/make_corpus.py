@@ -139,7 +139,8 @@ def frames():
         '{"id": 7, "kind": "sweep", "spec": {' + AXIS_BASE + '"cells": [4], '
         '"capacity_lo_mah": 2000, "capacity_hi_mah": 2000}}')
     add("sweep with infeasible rows",
-        '{"id": 7, "kind": "sweep", "spec": {' + AXIS_BASE + '"cells": [1, 2, 6], '
+        '{"id": 7, "kind": "sweep", "spec": {' + AXIS_BASE
+        + '"cells": [1, 2, 6], '
         '"capacity_lo_mah": 100, "capacity_hi_mah": 30100, '
         '"capacity_step_mah": 10000, "payload_g": 3000}}')
     add("pareto canonical",
@@ -422,7 +423,8 @@ def frames():
             ("cells 0", design(4, '{"cells": 0}')),
             ("negative capacity", design(4, '{"capacity_mah": -1}')),
             ("huge grid",
-             '{"id": 4, "kind": "sweep", "spec": {' + AXIS_BASE + '"capacity_lo_mah": 1, '
+             '{"id": 4, "kind": "sweep", "spec": {' + AXIS_BASE
+             + '"capacity_lo_mah": 1, '
              '"capacity_hi_mah": 1e300, "capacity_step_mah": 1}}'),
             ("risk samples over limit",
              '{"id": 4, "kind": "risk", "point": {}, "options": '
@@ -538,7 +540,8 @@ def frames():
     digits = "7" + "".join(str(rng.randint(0, 9)) for _ in range(799))
     for label, num in [
             ("1e-400", "1e-400"), ("-1e-400", "-1e-400"),
-            ("2.4e-324", "2.4e-324"), ("denorm min", "4.9406564584124654e-324"),
+            ("2.4e-324", "2.4e-324"),
+            ("denorm min", "4.9406564584124654e-324"),
             ("1e400", "1e400"), ("max double", "1.7976931348623157e308"),
             ("above max double", "1.7976931348623159e308"),
             ("800-digit integer", digits),
@@ -552,7 +555,8 @@ def frames():
             design(60, '{"capacity_mah": %s}' % num))
         add("number %s unknown" % label, design(61, "{}", ', "n": ' + num))
     for label, num in [
-            ("zero", "0"), ("negative zero", "-0"), ("2^53", "9007199254740992"),
+            ("zero", "0"), ("negative zero", "-0"),
+            ("2^53", "9007199254740992"),
             ("2^53+1", "9007199254740993"), ("1e3", "1e3"),
             ("1.0", "1.0"), ("1e-400", "1e-400")]:
         add("number %s as id" % label,

@@ -364,12 +364,14 @@ respell(std::string_view text, std::size_t pos, Rng &rng, std::string &out)
         if (rng.uniform() >= 0.2)
             continue;
         const std::string key = parts[i].substr(0, parts[i].find(':'));
-        const auto at = rng.uniformInt(static_cast<std::int64_t>(i) + 1,
-                                       static_cast<std::int64_t>(parts.size()));
+        const auto size = static_cast<std::int64_t>(parts.size());
+        const auto at =
+            rng.uniformInt(static_cast<std::int64_t>(i) + 1, size);
         parts.insert(parts.begin() + at, key + ":" + randomJunk(rng, 0));
     }
     for (auto n = rng.uniformInt(0, 2); n > 0; --n) {
-        const auto at = rng.uniformInt(0, static_cast<std::int64_t>(parts.size()));
+        const auto at =
+            rng.uniformInt(0, static_cast<std::int64_t>(parts.size()));
         parts.insert(parts.begin() + at,
                      escapeSome("\"zz_unknown\"", rng) + ":" +
                          randomJunk(rng, 0));

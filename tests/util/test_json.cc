@@ -51,7 +51,7 @@ TEST(Json, ParseScalars)
     JsonScanner scan(" -12.75e1,");
     ASSERT_TRUE(scan.readNumber(number));
     EXPECT_DOUBLE_EQ(number, -127.5);
-    EXPECT_TRUE(scan.consume(','));
+    EXPECT_EQ(scan.pos(), 9u);
     std::string text = "stale";
     ASSERT_TRUE(JsonScanner("\"hi\"").readString(text));
     EXPECT_EQ(text, "hi");
@@ -63,7 +63,6 @@ TEST(Json, SkipValueStopsAfterOneValue)
     JsonScanner scan(doc);
     ASSERT_TRUE(scan.skipValue());
     EXPECT_EQ(doc.substr(scan.pos()), " tail");
-    EXPECT_FALSE(scan.consume(']'));
     EXPECT_TRUE(scan.error().empty());
 }
 
