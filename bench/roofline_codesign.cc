@@ -1,7 +1,11 @@
 /**
  * @file
  * Roofline calibration and co-design search over the paper mission
- * catalog.  Prints each mission's recommended board and writes two
+ * catalog.  The model is built from a fresh `calibrateHost()` run
+ * (~0.6 s of uarch simulation), not from the pinned canonical fit,
+ * so the CSVs are derived from the simulator end to end; the two
+ * agree bit for bit while `Roofline.CanonicalCalibrationIsPinned`
+ * passes.  Prints each mission's recommended board and writes two
  * figure-family CSVs:
  *
  *   roofline_boards.csv  per-board roofline plot data (peak,
@@ -10,8 +14,7 @@
  *   codesign_table5.csv  recommended-board-vs-mission table (the
  *                        derived Table 5)
  *
- * The calibration and search timings are perfbench's
- * `codesign.calibrate_s` and `codesign.search_ms`.
+ * The served search's timing is perfbench's `codesign.search_ms`.
  *
  * Usage: roofline_codesign [--csv-dir DIR]
  */
@@ -122,7 +125,7 @@ main(int argc, char **argv)
     std::printf("=== Roofline calibration + co-design search ===\n"
                 "\n");
 
-    const RooflineModel model;
+    const RooflineModel model{calibrateHost().fit};
     engine::SweepEngine engine;
     const CodesignDriver driver{engine, model};
     std::vector<CodesignOutcome> outcomes;

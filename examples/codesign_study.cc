@@ -42,12 +42,11 @@ namespace {
 void
 printRoofline(const RooflineModel &model)
 {
-    const HostCalibration &cal = model.calibration();
+    const RooflineSpec &host = model.roofline(PlatformKind::RPi);
     std::printf("host fit: peak %.3e ops/s, bandwidth %.3e B/s, "
                 "ridge %.2f ops/B\n\n",
-                cal.host.peakOpsPerSec,
-                cal.host.bandwidthBytesPerSec,
-                cal.host.ridgeOpsPerByte());
+                host.peakOpsPerSec, host.bandwidthBytesPerSec,
+                host.ridgeOpsPerByte());
     for (std::size_t p = 0;
          p < static_cast<std::size_t>(PlatformKind::NumPlatforms);
          ++p) {

@@ -1,6 +1,7 @@
 #include "codesign/roofline.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/logging.hh"
 
@@ -10,33 +11,18 @@ namespace {
 
 constexpr std::size_t kNumPhases =
     static_cast<std::size_t>(SlamPhase::NumPhases);
-constexpr std::size_t kNumPlatforms =
-    static_cast<std::size_t>(PlatformKind::NumPlatforms);
 
 /** DRAM transfer granularity: one LLC line. */
 constexpr double kLineBytes = 64.0;
 
-/**
- * Peak/bandwidth scale of each platform relative to the simulated
- * host core.  These are the fitted accelerator rooflines: wide GPU
- * lanes but a shared LPDDR4 bus (TX2), deep pipelines over BRAM-fed
- * datapaths (FPGA), and a Navion-style memory-specialized datapath
- * (ASIC).  The factors are fitted so every platform's roof lies at
- * or above its Table 4 calibrated phase throughput — a roofline is
- * an upper bound, and RooflineModel's constructor reports the gap.
- */
-struct PlatformFactors
-{
-    double peak;
-    double bandwidth;
-};
+/** Events per microkernel / phase characterization run. */
+constexpr std::uint64_t kCalibrationEvents = 1000000;
 
-constexpr std::array<PlatformFactors, kNumPlatforms> kFactors = {{
-    {1.0, 1.0},   // RPi: the calibrated host itself
-    {16.0, 9.0},  // TX2
-    {60.0, 55.0}, // FPGA
-    {50.0, 45.0}, // ASIC
-}};
+/** Trace seed; phase i characterizes at kCalibrationSeed + 1 + i. */
+constexpr std::uint64_t kCalibrationSeed = 17;
+
+/** Host core clock the cycle counts are converted with (Hz). */
+constexpr double kHostClockHz = 1.5e9;
 
 /** Arithmetic intensity from one characterization run. */
 double
@@ -180,80 +166,42 @@ phaseKernelProfile(SlamPhase phase)
 }
 
 HostCalibration
-calibrateHost(const RooflineCalibrationConfig &config)
+calibrateHost()
 {
-    if (config.instructions == 0 || config.clockHz <= 0.0)
-        fatal("calibrateHost: invalid calibration config");
-
     HostCalibration cal;
     cal.streaming = runIsolated(streamingKernelProfile(),
-                                config.instructions, config.seed);
+                                kCalibrationEvents, kCalibrationSeed);
     cal.chasing = runIsolated(pointerChaseKernelProfile(),
-                              config.instructions, config.seed);
+                              kCalibrationEvents, kCalibrationSeed);
 
     // Peak: instructions/cycle with the memory system out of the
     // picture, at the host clock.
-    cal.host.kind = PlatformKind::RPi;
-    cal.host.peakOpsPerSec = cal.streaming.ipc() * config.clockHz;
+    HostFit &fit = cal.fit;
+    fit.host.kind = PlatformKind::RPi;
+    fit.host.peakOpsPerSec = cal.streaming.ipc() * kHostClockHz;
 
     // Bandwidth: DRAM lines fetched per cycle, at the host clock.
     const double chase_seconds =
-        static_cast<double>(cal.chasing.cycles) / config.clockHz;
-    cal.host.bandwidthBytesPerSec =
+        static_cast<double>(cal.chasing.cycles) / kHostClockHz;
+    fit.host.bandwidthBytesPerSec =
         static_cast<double>(cal.chasing.llcMisses) * kLineBytes /
         chase_seconds;
 
     for (std::size_t i = 0; i < kNumPhases; ++i) {
         const auto phase = static_cast<SlamPhase>(i);
         cal.phases[i] = runIsolated(phaseKernelProfile(phase),
-                                    config.instructions,
-                                    config.seed + 1 + i);
-        cal.intensityOpsPerByte[i] = fitIntensity(cal.phases[i]);
+                                    kCalibrationEvents,
+                                    kCalibrationSeed + 1 + i);
+        fit.intensityOpsPerByte[i] = fitIntensity(cal.phases[i]);
     }
     return cal;
-}
-
-RooflineModel::RooflineModel(const RooflineCalibrationConfig &config)
-    : cal_(calibrateHost(config))
-{
-    for (std::size_t i = 0; i < kNumPlatforms; ++i) {
-        rooflines_[i].kind = static_cast<PlatformKind>(i);
-        rooflines_[i].peakOpsPerSec =
-            cal_.host.peakOpsPerSec * kFactors[i].peak;
-        rooflines_[i].bandwidthBytesPerSec =
-            cal_.host.bandwidthBytesPerSec * kFactors[i].bandwidth;
-    }
 }
 
 const RooflineModel &
 RooflineModel::shared()
 {
-    static const RooflineModel model;
+    static constexpr RooflineModel model{};
     return model;
-}
-
-const RooflineSpec &
-RooflineModel::roofline(PlatformKind kind) const
-{
-    const auto idx = static_cast<std::size_t>(kind);
-    if (idx >= kNumPlatforms)
-        fatal("RooflineModel::roofline: invalid platform");
-    return rooflines_[idx];
-}
-
-double
-RooflineModel::intensity(SlamPhase phase) const
-{
-    const auto idx = static_cast<std::size_t>(phase);
-    if (idx >= kNumPhases)
-        fatal("RooflineModel::intensity: invalid phase");
-    return cal_.intensityOpsPerByte[idx];
-}
-
-double
-RooflineModel::attainable(PlatformKind kind, SlamPhase phase) const
-{
-    return roofline(kind).attainable(intensity(phase));
 }
 
 bool
@@ -283,7 +231,7 @@ RooflineModel::report(PlatformKind kind) const
     for (std::size_t i = 0; i < kNumPhases; ++i) {
         PhaseRooflineReport row;
         row.phase = static_cast<SlamPhase>(i);
-        row.intensityOpsPerByte = cal_.intensityOpsPerByte[i];
+        row.intensityOpsPerByte = fit_.intensityOpsPerByte[i];
         row.attainableOpsPerSec =
             attainable(kind, row.phase);
         row.measuredOpsPerSec = spec.phaseThroughput[i];

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 #include "slam/pipeline.hh"
 
@@ -17,19 +21,58 @@ constexpr std::size_t kNumPhases =
 constexpr std::size_t kNumPlatforms =
     static_cast<std::size_t>(PlatformKind::NumPlatforms);
 
+/** A double as a C hex-float literal (`%a`). */
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+// Building the served model is a constant expression: if the default
+// path ever runs the simulator again, this stops compiling.
+constexpr RooflineModel kPinned{};
+static_assert(kPinned.attainable(PlatformKind::RPi,
+                                 SlamPhase::Tracking) ==
+              kCanonicalHostFit.host.peakOpsPerSec);
+
 } // namespace
 
-TEST(Roofline, CalibrationIsDeterministic)
+TEST(Roofline, CanonicalCalibrationIsPinned)
 {
-    const RooflineModel a;
-    const RooflineModel b;
-    EXPECT_EQ(a.calibration().host.peakOpsPerSec,
-              b.calibration().host.peakOpsPerSec);
-    EXPECT_EQ(a.calibration().host.bandwidthBytesPerSec,
-              b.calibration().host.bandwidthBytesPerSec);
+    // The served fit is the calibration's result, bit for bit.  On a
+    // deliberate change to the uarch model or a kernel profile, paste
+    // the printed initializer over kCanonicalHostFit.
+    const HostFit got = calibrateHost().fit;
+    const HostFit &pinned = kCanonicalHostFit;
+    const auto check = [](const char *name, double a, double b) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
+                  std::bit_cast<std::uint64_t>(b))
+            << name << ": calibrated " << hexFloat(a) << ", pinned "
+            << hexFloat(b);
+    };
+    check("peak", got.host.peakOpsPerSec, pinned.host.peakOpsPerSec);
+    check("bandwidth", got.host.bandwidthBytesPerSec,
+          pinned.host.bandwidthBytesPerSec);
     for (std::size_t i = 0; i < kNumPhases; ++i) {
-        EXPECT_EQ(a.intensity(static_cast<SlamPhase>(i)),
-                  b.intensity(static_cast<SlamPhase>(i)));
+        check(slamPhaseName(static_cast<SlamPhase>(i)),
+              got.intensityOpsPerByte[i],
+              pinned.intensityOpsPerByte[i]);
+    }
+    if (HasFailure()) {
+        std::string literal =
+            "inline constexpr HostFit kCanonicalHostFit = {\n"
+            "    {PlatformKind::RPi, " +
+            hexFloat(got.host.peakOpsPerSec) + ", " +
+            hexFloat(got.host.bandwidthBytesPerSec) + "},\n    {{";
+        for (std::size_t i = 0; i < kNumPhases; ++i) {
+            literal += (i ? ",\n      " : "") +
+                       hexFloat(got.intensityOpsPerByte[i]);
+        }
+        literal += "}},\n};";
+        ADD_FAILURE() << "re-pin src/codesign/roofline.hh with:\n"
+                      << literal;
     }
 }
 

@@ -118,7 +118,7 @@ TEST(ServeCodesign, MalformedMissionsAreRejected)
         R"({"capacity_lo_mah": 4000, "capacity_hi_mah": 2000}})");
 }
 
-TEST(ServeCodesign, IdenticalMissionsCoalesceSingleFlight)
+TEST(ServeCodesign, IdenticalMissionsRunIndependently)
 {
     // Identical concurrent missions each run their own search: every
     // reply equals the single-caller oracle, and each caller solved

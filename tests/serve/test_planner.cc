@@ -283,7 +283,7 @@ TEST(ServePlanner, ExecuteMatchesEngineRun)
                                   expected.frontier));
 }
 
-TEST(ServePlanner, ConcurrentIdenticalSweepsCoalesce)
+TEST(ServePlanner, ConcurrentIdenticalSweepsRunIndependently)
 {
     // Identical concurrent sweeps each run their own engine job: every
     // reply equals the single-caller oracle, and every caller solved
@@ -490,7 +490,7 @@ TEST(ServePlanner, RiskExecuteCarriesGatesAndQuantiles)
     EXPECT_NE(reply.find("\"all_pass\""), std::string::npos);
 }
 
-TEST(ServePlanner, ConcurrentIdenticalExploresCoalesce)
+TEST(ServePlanner, ConcurrentIdenticalExploresRunIndependently)
 {
     // Identical concurrent explorations each run their own driver:
     // every reply equals the single-caller oracle, and each caller
