@@ -6,10 +6,16 @@
  *
  * Prints missions/s and exits nonzero below 1000 missions/s —
  * roughly the 25 ms/mission full-stack harness times 25, which is
- * what makes million-mission risk studies tractable.  The repeated,
- * per-thread-count timings are perfbench's `fleet.missions_per_s_1t`
- * and `_2t`; ECDF identity across thread counts is
- * `FleetDeterminism.ByteIdenticalAcrossJobs128` (DESIGN.md §16).
+ * what makes million-mission risk studies tractable.  The batched
+ * stepper reads each scenario's fault timeline compiled into
+ * constant segments, one snapshot per lane-tick (DESIGN.md §11), and
+ * runs well over an order of magnitude above the gate, so the gate
+ * only catches a gross regression.  The repeated, per-thread-count
+ * timings that resolve smaller ones are perfbench's
+ * `fleet.missions_per_s_1t` and `_2t`; ECDF identity across thread
+ * counts is `FleetDeterminism.ByteIdenticalAcrossJobs128`, and the
+ * whole catalog's bytes are pinned by
+ * `FleetDeterminism.ComposedCatalogPinnedAtSeed17` (DESIGN.md §16).
  *
  * Usage: fleet_throughput
  */

@@ -105,9 +105,9 @@ Autopilot::run(double duration)
         static_cast<long>(std::lround(duration / config_.simDt));
     for (long i = 0; i < steps; ++i)
         step();
-    obs::metrics()
-        .counter("control.autopilot.steps")
-        .add(static_cast<std::uint64_t>(std::max(0L, steps)));
+    static obs::Counter &steps_counter =
+        obs::metrics().counter("control.autopilot.steps");
+    steps_counter.add(static_cast<std::uint64_t>(std::max(0L, steps)));
 }
 
 Vec3
@@ -132,7 +132,9 @@ Autopilot::commandLandSafe()
     // can fly.
     targets_.velocity = {0.0, 0.0, -0.5};
     targets_.velocityMode = true;
-    obs::metrics().counter("control.autopilot.land_safe").add(1);
+    static obs::Counter &land_safe =
+        obs::metrics().counter("control.autopilot.land_safe");
+    land_safe.add(1);
     obs::instant("control.autopilot.land_safe", "control");
 }
 

@@ -59,16 +59,21 @@ RateScheduler::advanceTo(double t)
         // Deadline: the next release of the same task.
         if (finish > release + next->periodS + 1e-12) {
             ++next->stats.deadlineMisses;
-            obs::metrics()
-                .counter("control.scheduler.deadline_misses")
-                .add(1);
+            // Each handle is registered at its first bump, as the
+            // per-call lookups did; later bumps skip the registry
+            // mutex.
+            static obs::Counter &deadline_misses =
+                obs::metrics().counter("control.scheduler.deadline_misses");
+            deadline_misses.add(1);
         }
 
         cpuBusyUntil_ = finish;
         totalCpuS_ += cost;
         ++next->stats.executions;
         next->stats.cpuTimeS += cost;
-        obs::metrics().counter("control.scheduler.executions").add(1);
+        static obs::Counter &executions =
+            obs::metrics().counter("control.scheduler.executions");
+        executions.add(1);
         // Scheduler time is the mission clock, not wall time: the
         // span lands on the simulated-time track.
         if (obs::tracer().enabled()) {

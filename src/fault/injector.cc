@@ -1,12 +1,42 @@
 #include "fault/injector.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dronedse::fault {
 
 FaultInjector::FaultInjector(FaultScenario scenario)
     : scenario_(std::move(scenario))
 {
+    // Compile the timeline: what is in effect can change only where
+    // some event's `activeAt` comparison flips, at its start or end
+    // (the same `startS + durationS` sum `activeAt` compares with).
+    // A NaN bound is never crossed, so it is left out.
+    for (const auto &e : scenario_.events) {
+        for (const double b : {e.startS, e.startS + e.durationS}) {
+            if (!std::isnan(b))
+                bounds_.push_back(b);
+        }
+    }
+    std::sort(bounds_.begin(), bounds_.end());
+    bounds_.erase(std::unique(bounds_.begin(), bounds_.end()),
+                  bounds_.end());
+
+    // Each segment's snapshot is the per-kind answer at its first
+    // instant; no comparison flips inside the segment, so it is the
+    // answer at every instant of it.
+    segments_.resize(bounds_.size() + 1);
+    for (std::size_t j = 0; j < bounds_.size(); ++j) {
+        const double t = bounds_[j];
+        FaultSnapshot &s = segments_[j + 1];
+        s.gpsOut = active(FaultKind::GpsDropout, t);
+        s.cameraOut = active(FaultKind::CameraFrameLoss, t);
+        s.linkDown = active(FaultKind::OffloadLinkDown, t);
+        s.imuNoise = magnitude(FaultKind::ImuNoiseSpike, t, 1.0);
+        s.minMotorEff = magnitude(FaultKind::MotorDerate, t, 1.0);
+        s.latencyMs = magnitude(FaultKind::OffloadLatencySpike, t, 0.0);
+        s.costScale = magnitude(FaultKind::ComputeContention, t, 1.0);
+    }
 }
 
 bool

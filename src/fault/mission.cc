@@ -67,13 +67,17 @@ runResilienceMission(const FaultScenario &scenario,
         fatal("runResilienceMission: duration and tick must be > 0");
 
     obs::ScopedSpan mission_span("fault.mission", "fault");
-    obs::metrics().counter("fault.mission.runs").add(1);
+    // Each handle is registered at its first bump, as the per-call
+    // lookups did; later bumps skip the registry mutex.
+    static obs::Counter &runs = obs::metrics().counter("fault.mission.runs");
+    runs.add(1);
 
     MissionReport report;
     report.scenario = scenario.name;
     report.policyEnabled = config.policyEnabled;
 
     const FaultInjector injector(scenario);
+    std::size_t fault_cursor = 0;
     DegradationPolicy policy(config.policy);
 
     AutopilotConfig ap_config;
@@ -126,23 +130,22 @@ runResilienceMission(const FaultScenario &scenario,
 
     for (long k = 0; k < ticks; ++k) {
         // --- Inject this tick's faults. ------------------------------
-        autopilot.sensors().setGpsAvailable(
-            !injector.active(FaultKind::GpsDropout, t));
-        autopilot.sensors().setNoiseScale(
-            injector.magnitude(FaultKind::ImuNoiseSpike, t, 1.0));
+        const FaultSnapshot &faults = injector.snapshot(t, fault_cursor);
+        autopilot.sensors().setGpsAvailable(!faults.gpsOut);
+        autopilot.sensors().setNoiseScale(faults.imuNoise);
         for (int m = 0; m < 4; ++m)
             autopilot.quad().failMotor(m,
                                        injector.motorEffectiveness(m, t));
-        link.setDown(injector.active(FaultKind::OffloadLinkDown, t));
-        link.setLatencySpikeMs(
-            injector.magnitude(FaultKind::OffloadLatencySpike, t, 0.0));
-        sched.setCostScale(
-            injector.magnitude(FaultKind::ComputeContention, t, 1.0));
+        link.setDown(faults.linkDown);
+        link.setLatencySpikeMs(faults.latencyMs);
+        sched.setCostScale(faults.costScale);
 
         // --- Notice link loss; maybe probe for recovery. -------------
         if (link_observed_up && !link.usable()) {
             link_observed_up = false;
-            obs::metrics().counter("fault.link.outages").add(1);
+            static obs::Counter &outages =
+                obs::metrics().counter("fault.link.outages");
+            outages.add(1);
         }
         if (!link_observed_up) {
             if (config.policyEnabled) {
@@ -204,7 +207,7 @@ runResilienceMission(const FaultScenario &scenario,
         sched.advanceTo(t);
 
         // --- SLAM frames (camera loss drops them on the floor). ------
-        if (rig && !injector.active(FaultKind::CameraFrameLoss, t)) {
+        if (rig && !injector.snapshot(t, fault_cursor).cameraOut) {
             // ~1 frame per 0.5 s of flight keeps the harness quick;
             // DegradedSlam halves the rate (reduced keyframe budget).
             const long divider =
@@ -287,10 +290,15 @@ runResilienceMission(const FaultScenario &scenario,
     report.tier = DegradationPolicy::outcomeFor(
         report.crashed, report.missionComplete, report.worstMode);
 
-    obs::metrics()
-        .counter(report.crashed ? "fault.mission.crashed"
-                                : "fault.mission.survived")
-        .add(1);
+    if (report.crashed) {
+        static obs::Counter &crashed =
+            obs::metrics().counter("fault.mission.crashed");
+        crashed.add(1);
+    } else {
+        static obs::Counter &survived =
+            obs::metrics().counter("fault.mission.survived");
+        survived.add(1);
+    }
     return report;
 }
 

@@ -191,10 +191,12 @@ DegradationPolicy::transitionTo(FlightMode to, double t,
     mode_ = to;
     worst_ = std::max(worst_, to);
 
-    obs::metrics().counter("fault.policy.transitions").add(1);
-    obs::metrics()
-        .gauge("fault.policy.mode")
-        .set(static_cast<double>(static_cast<int>(to)));
+    static obs::Counter &transitions =
+        obs::metrics().counter("fault.policy.transitions");
+    static obs::Gauge &mode_gauge =
+        obs::metrics().gauge("fault.policy.mode");
+    transitions.add(1);
+    mode_gauge.set(static_cast<double>(static_cast<int>(to)));
     obs::instant(modeSpanName(to), "fault");
 }
 
@@ -207,7 +209,9 @@ DegradationPolicy::offloadRetryDue(double t) const
 void
 DegradationPolicy::onRetryResult(double t, bool success)
 {
-    obs::metrics().counter("fault.policy.link_retries").add(1);
+    static obs::Counter &retries =
+        obs::metrics().counter("fault.policy.link_retries");
+    retries.add(1);
     if (success) {
         backoffS_ = config_.backoffMinS;
         linkDown_ = false;

@@ -130,6 +130,8 @@ struct LaneBlock
     const ScenarioCtx *ctx[W] = {};
     DroneOutcome *out[W] = {};
     Rng rng[W];
+    /** Per-lane cursor into the scenario's compiled fault timeline. */
+    std::size_t seg[W] = {};
 
     // Mission progress.
     std::size_t leg[W] = {};
@@ -169,7 +171,6 @@ struct LaneBlock
     std::size_t lanes = 0;
 };
 
-using fault::FaultKind;
 using fault::FlightMode;
 
 /** One policy ladder shared by both fidelity tiers. */
@@ -187,6 +188,7 @@ initLane(LaneBlock &block, std::size_t lane, const ScenarioCtx &ctx,
     block.ctx[lane] = &ctx;
     block.out[lane] = &out;
     block.rng[lane] = Rng(seed);
+    block.seg[lane] = 0;
     block.leg[lane] = 0;
     block.legPosM[lane] = 0.0;
     block.altM[lane] = 0.0;
@@ -224,51 +226,45 @@ finishLane(LaneBlock &block, std::size_t lane, double end_t)
     block.endT[lane] = end_t;
 }
 
+/** Per-run constants of the tick arithmetic. */
+struct TickConstants
+{
+    double sqrtDt = 0.0;
+    /** Deadline-miss level decay over one tick. */
+    double missDecay = 0.0;
+
+    explicit TickConstants(const FleetSpec &spec)
+        : sqrtDt(std::sqrt(spec.tickS)),
+          missDecay(std::pow(0.5, spec.tickS /
+                                      policyDefaults().missHalfLifeS))
+    {
+    }
+};
+
 /** Step every active lane of the block through one tick. */
 void
 stepBlockTick(LaneBlock &block, const CompiledMission &mission,
-              const FleetSpec &spec, long k)
+              const FleetSpec &spec, const TickConstants &tc, long k)
 {
     const double dt = spec.tickS;
     const double t = static_cast<double>(k) * dt;
     const double t_next = static_cast<double>(k + 1) * dt;
     const fault::PolicyConfig &pc = policyDefaults();
-    const double sqrt_dt = std::sqrt(dt);
-    const double miss_decay =
-        std::pow(0.5, dt / pc.missHalfLifeS);
 
-    // Per-tick fault snapshot, per lane (SoA scratch).
-    bool gps[LaneBlock::W];
-    double noise[LaneBlock::W];
-    double min_eff[LaneBlock::W];
-    bool link_fault[LaneBlock::W];
-    double latency_ms[LaneBlock::W];
-    double cost_scale[LaneBlock::W];
-    bool camera_out[LaneBlock::W];
-
-    // --- Phase 1: inject this tick's faults. ---------------------
+    // --- Phase 1: this tick's faults, one snapshot per lane. -----
+    const fault::FaultSnapshot *faults[LaneBlock::W] = {};
     for (std::size_t lane = 0; lane < block.lanes; ++lane) {
-        if (!block.active[lane])
-            continue;
-        const fault::FaultInjector &inj = block.ctx[lane]->injector;
-        gps[lane] = !inj.active(FaultKind::GpsDropout, t);
-        noise[lane] =
-            inj.magnitude(FaultKind::ImuNoiseSpike, t, 1.0);
-        min_eff[lane] = inj.magnitude(FaultKind::MotorDerate, t, 1.0);
-        link_fault[lane] = inj.active(FaultKind::OffloadLinkDown, t);
-        latency_ms[lane] =
-            inj.magnitude(FaultKind::OffloadLatencySpike, t, 0.0);
-        cost_scale[lane] =
-            inj.magnitude(FaultKind::ComputeContention, t, 1.0);
-        camera_out[lane] =
-            inj.active(FaultKind::CameraFrameLoss, t);
+        if (block.active[lane])
+            faults[lane] = &block.ctx[lane]->injector.snapshot(
+                t, block.seg[lane]);
     }
 
     // --- Phase 2: link observation and backoff retries. ----------
     for (std::size_t lane = 0; lane < block.lanes; ++lane) {
         if (!block.active[lane])
             continue;
-        if (block.linkUp[lane] && link_fault[lane]) {
+        const bool link_fault = faults[lane]->linkDown;
+        if (block.linkUp[lane] && link_fault) {
             // Loss is noticed immediately (an RPC fails).
             block.linkUp[lane] = false;
             if (spec.policyEnabled) {
@@ -278,9 +274,9 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
         } else if (!block.linkUp[lane]) {
             if (!spec.policyEnabled) {
                 // No policy: re-probe every tick.
-                block.linkUp[lane] = !link_fault[lane];
+                block.linkUp[lane] = !link_fault;
             } else if (t >= block.nextRetryT[lane]) {
-                if (!link_fault[lane]) {
+                if (!link_fault) {
                     block.linkUp[lane] = true;
                     block.backoffS[lane] = 0.0;
                 } else {
@@ -298,21 +294,21 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
     for (std::size_t lane = 0; lane < block.lanes; ++lane) {
         if (!block.active[lane])
             continue;
+        const double noise = faults[lane]->imuNoise;
         double est = block.estErrM[lane];
-        double floor = kEstFloorM * noise[lane];
-        if (camera_out[lane])
+        double floor = kEstFloorM * noise;
+        if (faults[lane]->cameraOut)
             floor *= kCameraLossFloorScale;
         const double walk_draw = block.rng[lane].gaussian();
-        if (gps[lane]) {
+        if (!faults[lane]->gpsOut) {
             block.gpsDownSince[lane] = -1.0;
             est += dt * (floor - est) / kEstTauS;
-            est += std::fabs(walk_draw) * kEstWalk * sqrt_dt * 0.1;
+            est += std::fabs(walk_draw) * kEstWalk * tc.sqrtDt * 0.1;
         } else {
             if (block.gpsDownSince[lane] < 0.0)
                 block.gpsDownSince[lane] = t;
-            est += dt * kEstDriftMps * noise[lane];
-            est += std::fabs(walk_draw) * kEstWalk * sqrt_dt *
-                   noise[lane];
+            est += dt * kEstDriftMps * noise;
+            est += std::fabs(walk_draw) * kEstWalk * tc.sqrtDt * noise;
         }
         est = std::max(0.0, est);
         block.estErrM[lane] = est;
@@ -328,15 +324,15 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
         const bool shed =
             block.mode[lane] >=
             static_cast<std::uint8_t>(FlightMode::RateShed);
-        double load = cost_scale[lane];
+        double load = faults[lane]->costScale;
         if (onboard)
             load *= kLoadOnboard;
         else
-            load *= 1.0 + latency_ms[lane] / kLoadLatencyMs;
+            load *= 1.0 + faults[lane]->latencyMs / kLoadLatencyMs;
         if (shed)
             load *= kLoadShedFactor;
         block.missLevel[lane] =
-            block.missLevel[lane] * miss_decay +
+            block.missLevel[lane] * tc.missDecay +
             std::max(0.0, load - kLoadThreshold) * kMissGainPerS *
                 dt;
     }
@@ -355,13 +351,13 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
                     : t - block.gpsDownSince[lane];
 
             auto demand = FlightMode::Nominal;
-            if (!block.linkUp[lane] || !gps[lane])
+            if (!block.linkUp[lane] || faults[lane]->gpsOut)
                 demand = FlightMode::DegradedSlam;
             if (block.missLevel[lane] > pc.missShedLevel ||
                 block.estErrM[lane] > pc.estErrShedM)
                 demand = FlightMode::RateShed;
             if (soc <= pc.socLandFraction ||
-                min_eff[lane] < pc.motorEffLandFraction ||
+                faults[lane]->minMotorEff < pc.motorEffLandFraction ||
                 gps_denial_s >= pc.gpsDenialLandS ||
                 block.estErrM[lane] > pc.estErrLandM)
                 demand = FlightMode::LandSafe;
@@ -392,6 +388,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
             continue;
         const ScenarioCtx &ctx = *block.ctx[lane];
         const double wind = ctx.scenario->env.windMps;
+        const double min_eff = faults[lane]->minMotorEff;
         const bool land_safe =
             block.mode[lane] ==
             static_cast<std::uint8_t>(FlightMode::LandSafe);
@@ -412,7 +409,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
         } else {
             // Hover-thrust margin: below the hover throttle the
             // drone sheds altitude; sustained deficit is a crash.
-            if (min_eff[lane] < ctx.hoverThrottle) {
+            if (min_eff < ctx.hoverThrottle) {
                 block.deficitS[lane] += dt;
                 if (block.deficitS[lane] > kThrustDeficitCrashS) {
                     block.crashed[lane] = true;
@@ -436,7 +433,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
             // Speed costs thrust headroom; a mild derate barely
             // slows the drone, a near-hover-limit one crawls.
             const double margin = std::clamp(
-                (min_eff[lane] - ctx.hoverThrottle) /
+                (min_eff - ctx.hoverThrottle) /
                     (1.0 - kHoverThrottleBase),
                 0.0, 1.0);
             const double speed_scale =
@@ -481,7 +478,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
         const double est_excess =
             std::max(0.0, block.estErrM[lane] - 1.0);
         err += dt * (kErrWindGain * gust +
-                     kErrDerateGain * (1.0 - min_eff[lane]) +
+                     kErrDerateGain * (1.0 - min_eff) +
                      kErrEstGain * est_excess -
                      kErrDampPerS * err);
         err = std::max(0.0, err);
@@ -511,7 +508,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
 /** Fly one lane block to completion (all lanes terminated). */
 void
 runBlock(LaneBlock &block, const CompiledMission &mission,
-         const FleetSpec &spec)
+         const FleetSpec &spec, const TickConstants &tc)
 {
     const auto max_ticks = static_cast<long>(
         std::lround(spec.maxDurationS / spec.tickS));
@@ -521,7 +518,7 @@ runBlock(LaneBlock &block, const CompiledMission &mission,
             any_active = any_active || block.active[lane];
         if (!any_active)
             break;
-        stepBlockTick(block, mission, spec, k);
+        stepBlockTick(block, mission, spec, tc, k);
     }
     for (std::size_t lane = 0; lane < block.lanes; ++lane) {
         if (block.active[lane])
@@ -591,7 +588,15 @@ runFleetImpl(const FleetSpec &spec, int jobs,
         contexts.emplace_back(spec.scenarios[s]);
     }
     result.missionsFlown = total;
-    obs::metrics().counter("fleet.missions.flown").add(total);
+    // Registered once per process; each run then adds without taking
+    // the registry mutex.
+    static obs::Counter &flown =
+        obs::metrics().counter("fleet.missions.flown");
+    static obs::Counter &crashed_count =
+        obs::metrics().counter("fleet.missions.crashed");
+    static obs::Counter &survived_count =
+        obs::metrics().counter("fleet.missions.survived");
+    flown.add(total);
 
     engine::ThreadPool pool(jobs);
 
@@ -642,6 +647,7 @@ runFleetImpl(const FleetSpec &spec, int jobs,
     } else {
         const CompiledMission mission =
             compileMission(spec.mission);
+        const TickConstants tc(spec);
         // Lane-block chunks: the pool hands out [begin, end) ranges;
         // each chunk is stepped as blocks of kFleetLaneWidth.
         // Per-drone results depend only on (fleetSeed, logical
@@ -669,7 +675,7 @@ runFleetImpl(const FleetSpec &spec, int jobs,
                                  deriveDroneSeed(spec.fleetSeed,
                                                  logical));
                     }
-                    runBlock(block, mission, spec);
+                    runBlock(block, mission, spec, tc);
                 }
             });
     }
@@ -678,10 +684,8 @@ runFleetImpl(const FleetSpec &spec, int jobs,
     for (const auto &scenario : result.scenarios)
         crashed +=
             scenario.tierCount(fault::OutcomeTier::Crashed);
-    obs::metrics().counter("fleet.missions.crashed").add(crashed);
-    obs::metrics()
-        .counter("fleet.missions.survived")
-        .add(total - crashed);
+    crashed_count.add(crashed);
+    survived_count.add(total - crashed);
     return result;
 }
 

@@ -653,10 +653,8 @@ errorCodeName(ErrorCode code)
 bool
 parseRequest(const std::string &frame, Request &out, ErrorReply &err)
 {
-    // A swap, not `out = Request{}`: gcc 12 at -O3 warns that the
-    // assigned temporary's strings may be used uninitialized.
-    Request fresh;
-    std::swap(out, fresh);
+    // `out` is read into as it stands, not reset: the caller owns
+    // the one construction per frame (see request.hh).
     // One pass checks the whole frame, so a grammar error anywhere
     // wins over any field error, and lists every entry to read.
     std::vector<JsonEntry> entries;

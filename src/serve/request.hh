@@ -159,6 +159,12 @@ struct ErrorReply
  * on failure fills `err` (ParseError for non-JSON, InvalidRequest
  * for schema violations) and, when the frame carried a readable id,
  * echoes it into `out.id` so the error reply can be correlated.
+ *
+ * `out` must be a freshly constructed `Request`: the frame's fields
+ * are read into it as it stands, and a field the frame omits keeps
+ * the value `out` holds, which is the default only for a fresh one.
+ * Constructing a `Request` allocates its default vectors, so each
+ * frame pays for exactly one, made by the caller.
  */
 bool parseRequest(const std::string &frame, Request &out,
                   ErrorReply &err);

@@ -205,7 +205,9 @@ Server::acceptClients()
         Connection conn;
         conn.fd = fd;
         connections_.emplace(nextConnId_++, std::move(conn));
-        obs::metrics().counter("serve.connections").add(1);
+        static obs::Counter &accepted =
+            obs::metrics().counter("serve.connections");
+        accepted.add(1);
     }
 }
 

@@ -128,7 +128,9 @@ coSchedule(TraceGenerator &first, TraceGenerator &second,
     // The Figure 15 quantities (miss rates of co-scheduled
     // workloads) go through the registry so an experiment reads one
     // metrics snapshot instead of the bespoke PerfCounters structs.
-    obs::metrics().counter("uarch.coschedule.runs").add(1);
+    static obs::Counter &runs =
+        obs::metrics().counter("uarch.coschedule.runs");
+    runs.add(1);
     publishCounters("coschedule.first", result.first);
     publishCounters("coschedule.second", result.second);
     return result;

@@ -8,7 +8,8 @@
  * pins that contract three ways:
  *
  *  1. Golden outputs at seed 17 for four composed catalog scenarios
- *     (generated once from a jobs=1 run, byte-compared forever).
+ *     (generated once from a jobs=1 run, byte-compared forever), and
+ *     digests of the whole composed catalog at two operating points.
  *  2. Byte-identity of the full ECDF CSV across jobs 1/2/8 and
  *     across repeat runs.
  *  3. Order-invariance: `runFleetPermuted` processes a shuffled
@@ -191,6 +192,34 @@ TEST(FleetDeterminism, EnvAxesFeedTheModel)
     FleetSpec aged = base;
     aged.scenarios[0].env.batteryAge = 0.05;
     EXPECT_NE(fleetEcdfCsv(runFleet(aged, 1)), baseline);
+}
+
+/**
+ * The whole composed catalog perfbench flies (101 scenarios), at the
+ * nominal operating point and once more crossed with one off-nominal
+ * point (windy, loaded, aged pack), 8 drones each at seed 17.  The
+ * digests were generated from the stepper that queried the injector
+ * per kind per tick, before the timeline was compiled into segments,
+ * so they pin every scenario's bytes across that rewrite.
+ */
+constexpr std::uint64_t kCatalogSummaryHash = 3881877644781631939ULL;
+constexpr std::uint64_t kCatalogEcdfHash = 13482125536613832608ULL;
+
+TEST(FleetDeterminism, ComposedCatalogPinnedAtSeed17)
+{
+    FleetSpec spec;
+    spec.mission = findMission("survey");
+    spec.scenarios = composedCatalog().scenarios;
+    ASSERT_EQ(spec.scenarios.size(), 101u);
+    const std::vector<ComposedScenario> off_nominal =
+        crossWithAxes(spec.scenarios, {6.0}, {250.0}, {0.8});
+    spec.scenarios.insert(spec.scenarios.end(), off_nominal.begin(),
+                          off_nominal.end());
+    spec.dronesPerScenario = 8;
+    spec.fleetSeed = 17;
+    const FleetResult result = runFleet(spec, 2);
+    EXPECT_EQ(fnv1a(fleetSummaryCsv(result)), kCatalogSummaryHash);
+    EXPECT_EQ(fnv1a(fleetEcdfCsv(result)), kCatalogEcdfHash);
 }
 
 TEST(FleetDeterminism, InvalidSpecsAreFatal)
