@@ -15,12 +15,6 @@ axisKindName(AxisKind kind)
 }
 
 bool
-parseAxisKind(const std::string &name, AxisKind &out)
-{
-    return parseEnum(name, out);
-}
-
-bool
 axisIsOrdered(AxisKind kind)
 {
     // Boards and activities have no between-values ordering the

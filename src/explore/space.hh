@@ -61,9 +61,6 @@ wireNames(AxisKind)
 /** Wire/CSV spelling of `kind`. */
 const char *axisKindName(AxisKind kind);
 
-/** Inverse of `axisKindName`; returns false on unknown spelling. */
-bool parseAxisKind(const std::string &name, AxisKind &out);
-
 /** True for axes whose values are ordered (bisection applies). */
 bool axisIsOrdered(AxisKind kind);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 
 #include "control/autopilot.hh"
 #include "control/scheduler.hh"
@@ -14,8 +13,6 @@
 #include "physics/lipo.hh"
 #include "platform/offload.hh"
 #include "power/board_power.hh"
-#include "slam/pipeline.hh"
-#include "slam/world.hh"
 #include "util/logging.hh"
 
 namespace dronedse::fault {
@@ -38,13 +35,15 @@ constexpr double kBackendRateHz = 1.0;
 constexpr double kBackendOffloadedCostS = 0.020;
 constexpr double kBackendOnboardCostS = 0.250;
 
-/** Keyframe gap: every 8 frames offloaded, every 16 onboard. */
-constexpr int kKeyframeGapOffloaded = 8;
-constexpr int kKeyframeGapOnboard = 16;
-
 /** Radio/compression overhead added to the board power (W). */
 constexpr double kOffloadRadioW = 1.5;
 constexpr double kOnboardExtraW = 2.25;
+
+/** Outer-loop tick (s): injector/policy/scheduler cadence. */
+constexpr double kTickS = 0.1;
+/** Touchdown above this speed is a crash, not a landing (m/s). */
+constexpr double kCrashImpactSpeedMps = 1.8;
+static_assert(kTickS > 0.0);
 
 /** Survey square: kWaypointGoal legs, then descend home and hold. */
 std::vector<Waypoint>
@@ -63,8 +62,8 @@ MissionReport
 runResilienceMission(const FaultScenario &scenario,
                      const ResilienceConfig &config)
 {
-    if (config.durationS <= 0.0 || config.tickS <= 0.0)
-        fatal("runResilienceMission: duration and tick must be > 0");
+    if (config.durationS <= 0.0)
+        fatal("runResilienceMission: duration must be > 0");
 
     obs::ScopedSpan mission_span("fault.mission", "fault");
     // Each handle is registered at its first bump, as the per-call
@@ -78,7 +77,7 @@ runResilienceMission(const FaultScenario &scenario,
 
     const FaultInjector injector(scenario);
     std::size_t fault_cursor = 0;
-    DegradationPolicy policy(config.policy);
+    DegradationPolicy policy;
 
     AutopilotConfig ap_config;
     ap_config.seed = config.seed;
@@ -88,8 +87,7 @@ runResilienceMission(const FaultScenario &scenario,
 
     // The companion computer's outer loop: navigation planning plus
     // the SLAM stages.  The fn bodies are empty — the scheduler is a
-    // timing model here; the real work happens in the autopilot and
-    // (optionally) the SLAM pipeline below.
+    // timing model here; the real work happens in the autopilot.
     RateScheduler sched;
     sched.addTask("outer.nav", kNavRateHz, kNavCostS, [](double) {});
     sched.addTask("outer.slam_frontend", kFrontendRateHz,
@@ -107,25 +105,9 @@ runResilienceMission(const FaultScenario &scenario,
 
     LipoPack pack(3, Quantity<MilliampHours>(3000.0));
 
-    // Optional: run the real SLAM pipeline on the camera stream.
-    struct SlamRig
-    {
-        SyntheticWorld world;
-        SlamPipeline slam;
-        int nextFrame = 16;
-        explicit SlamRig(const SequenceSpec &seq)
-            : world(seq), slam(world.camera())
-        {
-            slam.bootstrap(world.renderFrame(0), world.renderFrame(15));
-        }
-    };
-    std::unique_ptr<SlamRig> rig;
-    if (config.withSlam)
-        rig = std::make_unique<SlamRig>(findSequence("MH01"));
-
     double track_err_sum = 0.0;
     long track_err_n = 0;
-    const long ticks = std::lround(config.durationS / config.tickS);
+    const long ticks = std::lround(config.durationS / kTickS);
     double t = 0.0;
 
     for (long k = 0; k < ticks; ++k) {
@@ -192,33 +174,13 @@ runResilienceMission(const FaultScenario &scenario,
                           shed ? kNavShedRateHz : kNavRateHz);
         sched.setTaskRate("outer.slam_frontend",
                           shed ? kFrontendShedRateHz : kFrontendRateHz);
-        if (rig) {
-            rig->slam.setKeyframeMaxGap(
-                onboard_slam || mode >= FlightMode::DegradedSlam
-                    ? kKeyframeGapOnboard
-                    : kKeyframeGapOffloaded);
-        }
         if (mode == FlightMode::LandSafe)
             autopilot.commandLandSafe();
 
         // --- Fly one tick. -------------------------------------------
-        autopilot.run(config.tickS);
-        t = (k + 1) * config.tickS;
+        autopilot.run(kTickS);
+        t = (k + 1) * kTickS;
         sched.advanceTo(t);
-
-        // --- SLAM frames (camera loss drops them on the floor). ------
-        if (rig && !injector.snapshot(t, fault_cursor).cameraOut) {
-            // ~1 frame per 0.5 s of flight keeps the harness quick;
-            // DegradedSlam halves the rate (reduced keyframe budget).
-            const long divider =
-                mode >= FlightMode::DegradedSlam ? 10 : 5;
-            if (k % divider == divider - 1 &&
-                rig->nextFrame < rig->world.spec().frames) {
-                rig->slam.processFrame(
-                    rig->world.renderFrame(rig->nextFrame++));
-                ++report.slamFrames;
-            }
-        }
 
         // --- Drain the battery. --------------------------------------
         const Quantity<Watts> board_w =
@@ -230,7 +192,7 @@ runResilienceMission(const FaultScenario &scenario,
         pack.discharge(Quantity<Watts>(
                            autopilot.quad().electricalPowerW()) +
                            board_w,
-                       Quantity<Seconds>(config.tickS));
+                       Quantity<Seconds>(kTickS));
 
         // --- Bookkeeping. --------------------------------------------
         report.maxEstErrM =
@@ -254,10 +216,9 @@ runResilienceMission(const FaultScenario &scenario,
         // legitimately drifts from the (stale) waypoint, and is
         // judged by its touchdown instead.
         const bool flyaway = !autopilot.landSafeActive() &&
-                             report.maxTrackErrM > config.flyawayErrM;
+                             report.maxTrackErrM > kFlyawayErrM;
         if (autopilot.quad().upsideDown() ||
-            autopilot.quad().maxImpactSpeed() >
-                config.crashImpactSpeed ||
+            autopilot.quad().maxImpactSpeed() > kCrashImpactSpeedMps ||
             flyaway) {
             report.crashed = true;
             break;
@@ -282,9 +243,6 @@ runResilienceMission(const FaultScenario &scenario,
     report.energyWh = pack.drawnEnergyWh().value();
     report.deadlineMisses = sched.totalDeadlineMisses();
     report.linkRetries = link.attempts();
-    if (rig)
-        report.slamKeyframes =
-            static_cast<long>(rig->slam.map().keyframeCount());
     report.worstMode = policy.worstMode();
     report.transitions = policy.transitions();
     report.tier = DegradationPolicy::outcomeFor(

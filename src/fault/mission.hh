@@ -37,22 +37,12 @@ struct ResilienceConfig
     double durationS = 60.0;
     /** Run the DegradationPolicy (false = injector only). */
     bool policyEnabled = true;
-    /** Policy thresholds. */
-    PolicyConfig policy{};
     /** Seed for wind and sensor noise. */
     std::uint64_t seed = 17;
-    /** Outer-loop tick (s): injector/policy/scheduler cadence. */
-    double tickS = 0.1;
-    /** Touchdown above this speed is a crash, not a landing (m/s). */
-    double crashImpactSpeed = 1.8;
-    /** Tracking error past this is departed flight (m). */
-    double flyawayErrM = 25.0;
-    /**
-     * Run the real SLAM pipeline on the camera stream (slower;
-     * the scheduler's SLAM task cost model runs either way).
-     */
-    bool withSlam = false;
 };
+
+/** Tracking error past this is departed flight (m). */
+inline constexpr double kFlyawayErrM = 25.0;
 
 /** What one scenario flight produced. */
 struct MissionReport
@@ -80,10 +70,6 @@ struct MissionReport
 
     long deadlineMisses = 0;
     long linkRetries = 0;
-    /** SLAM frames processed (withSlam only). */
-    long slamFrames = 0;
-    /** SLAM keyframes created (withSlam only). */
-    long slamKeyframes = 0;
 
     FlightMode worstMode = FlightMode::Nominal;
     std::vector<ModeTransition> transitions;

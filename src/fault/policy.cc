@@ -62,47 +62,35 @@ outcomeTierName(OutcomeTier tier)
     return "unknown";
 }
 
-DegradationPolicy::DegradationPolicy(PolicyConfig config)
-    : config_(config), backoffS_(config.backoffMinS)
-{
-    if (config_.backoffMinS <= 0.0 ||
-        config_.backoffMaxS < config_.backoffMinS ||
-        config_.backoffFactor < 1.0)
-        fatal("DegradationPolicy: invalid backoff configuration");
-    if (config_.missHalfLifeS <= 0.0 || config_.recoveryHoldS < 0.0)
-        fatal("DegradationPolicy: invalid timing configuration");
-}
-
 FlightMode
 DegradationPolicy::demandedMode(const HealthSnapshot &health,
                                 std::string &reason) const
 {
     // LandSafe triggers: conditions the outer loop cannot out-fly.
-    if (health.stateOfCharge <= config_.socLandFraction) {
+    if (health.stateOfCharge <= kSocLandFraction) {
         reason = "battery_floor";
         return FlightMode::LandSafe;
     }
-    if (health.minMotorEffectiveness <
-        config_.motorEffLandFraction) {
+    if (health.minMotorEffectiveness < kMotorEffLandFraction) {
         reason = "motor_health";
         return FlightMode::LandSafe;
     }
-    if (health.estErrM >= config_.estErrLandM) {
+    if (health.estErrM >= kEstErrLandM) {
         reason = "estimation_runaway";
         return FlightMode::LandSafe;
     }
     if (gpsDownSince_ >= 0.0 &&
-        health.t - gpsDownSince_ >= config_.gpsDenialLandS) {
+        health.t - gpsDownSince_ >= kGpsDenialLandS) {
         reason = "gps_denial_timeout";
         return FlightMode::LandSafe;
     }
 
     // RateShed triggers: the outer loop is starving the inner loop.
-    if (missLevel_ >= config_.missShedLevel) {
+    if (missLevel_ >= kMissShedLevel) {
         reason = "deadline_misses";
         return FlightMode::RateShed;
     }
-    if (health.estErrM >= config_.estErrShedM) {
+    if (health.estErrM >= kEstErrShedM) {
         reason = "estimation_error";
         return FlightMode::RateShed;
     }
@@ -134,8 +122,7 @@ DegradationPolicy::update(const HealthSnapshot &health)
     const long new_misses =
         haveLast_ ? std::max(0L, health.deadlineMisses - lastMisses_)
                   : health.deadlineMisses;
-    missLevel_ = missLevel_ *
-                     std::exp2(-dt / config_.missHalfLifeS) +
+    missLevel_ = missLevel_ * std::exp2(-dt / kMissHalfLifeS) +
                  static_cast<double>(new_misses);
 
     // Continuous GPS-denial clock.
@@ -149,12 +136,12 @@ DegradationPolicy::update(const HealthSnapshot &health)
     // retry; a healthy link resets the backoff.
     if (!health.linkUp && !linkDown_) {
         linkDown_ = true;
-        backoffS_ = config_.backoffMinS;
+        backoffS_ = kBackoffMinS;
         nextRetryT_ = health.t + backoffS_;
         retryIntervals_.push_back(backoffS_);
     } else if (health.linkUp && linkDown_) {
         linkDown_ = false;
-        backoffS_ = config_.backoffMinS;
+        backoffS_ = kBackoffMinS;
     }
 
     haveLast_ = true;
@@ -175,7 +162,7 @@ DegradationPolicy::update(const HealthSnapshot &health)
         lastElevatedT_ = health.t;
     } else if (demanded == mode_) {
         lastElevatedT_ = health.t;
-    } else if (health.t - lastElevatedT_ >= config_.recoveryHoldS) {
+    } else if (health.t - lastElevatedT_ >= kRecoveryHoldS) {
         // De-escalate only after the triggers have stayed clear.
         transitionTo(demanded, health.t, "recovered");
         lastElevatedT_ = health.t;
@@ -213,12 +200,11 @@ DegradationPolicy::onRetryResult(double t, bool success)
         obs::metrics().counter("fault.policy.link_retries");
     retries.add(1);
     if (success) {
-        backoffS_ = config_.backoffMinS;
+        backoffS_ = kBackoffMinS;
         linkDown_ = false;
         return;
     }
-    backoffS_ = std::min(backoffS_ * config_.backoffFactor,
-                         config_.backoffMaxS);
+    backoffS_ = std::min(backoffS_ * kBackoffFactor, kBackoffMaxS);
     nextRetryT_ = t + backoffS_;
     retryIntervals_.push_back(backoffS_);
 }

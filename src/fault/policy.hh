@@ -21,7 +21,7 @@
  *  - battery, motor health, long GPS denial,
  *    or runaway estimation error            -> LandSafe (absorbing)
  *
- * Escalation is immediate; de-escalation waits for `recoveryHoldS`
+ * Escalation is immediate; de-escalation waits for `kRecoveryHoldS`
  * of continuously clear triggers (hysteresis), and LandSafe is never
  * left.  Because escalation is immediate and each trigger is a
  * monotone function of the health inputs, the worst mode of a run
@@ -70,39 +70,44 @@ enum class OutcomeTier
 /** Human-readable tier name. */
 const char *outcomeTierName(OutcomeTier tier);
 
-/** Thresholds and timing of the policy (all tunable per study). */
-struct PolicyConfig
-{
-    /** Initial/minimum offload retry interval (s). */
-    double backoffMinS = 0.5;
-    /** Retry interval cap (s). */
-    double backoffMaxS = 8.0;
-    /** Multiplier applied after each failed retry. */
-    double backoffFactor = 2.0;
+// ---- Thresholds and timing of the policy. ------------------------
+//
+// Constants, not settings: the resilience harness and both fleet
+// fidelity tiers degrade by these same rules.
 
-    /**
-     * Deadline-miss leaky accumulator: each new miss adds 1, the
-     * level decays with this half-life (s).
-     */
-    double missHalfLifeS = 4.0;
-    /** Accumulator level that triggers RateShed. */
-    double missShedLevel = 20.0;
+/** Initial/minimum offload retry interval (s). */
+inline constexpr double kBackoffMinS = 0.5;
+/** Retry interval cap (s). */
+inline constexpr double kBackoffMaxS = 8.0;
+/** Multiplier applied after each failed retry. */
+inline constexpr double kBackoffFactor = 2.0;
 
-    /** Estimation error that triggers RateShed (m). */
-    double estErrShedM = 2.5;
-    /** Estimation error that triggers LandSafe (m). */
-    double estErrLandM = 8.0;
+/**
+ * Deadline-miss leaky accumulator: each new miss adds 1, the level
+ * decays with this half-life (s).
+ */
+inline constexpr double kMissHalfLifeS = 4.0;
+/** Accumulator level that triggers RateShed. */
+inline constexpr double kMissShedLevel = 20.0;
 
-    /** Continuous GPS denial that triggers LandSafe (s). */
-    double gpsDenialLandS = 15.0;
-    /** State of charge at or below which LandSafe triggers. */
-    double socLandFraction = 0.12;
-    /** Weakest motor effectiveness below which LandSafe triggers. */
-    double motorEffLandFraction = 0.45;
+/** Estimation error that triggers RateShed (m). */
+inline constexpr double kEstErrShedM = 2.5;
+/** Estimation error that triggers LandSafe (m). */
+inline constexpr double kEstErrLandM = 8.0;
 
-    /** Clear-trigger time required before de-escalating (s). */
-    double recoveryHoldS = 4.0;
-};
+/** Continuous GPS denial that triggers LandSafe (s). */
+inline constexpr double kGpsDenialLandS = 15.0;
+/** State of charge at or below which LandSafe triggers. */
+inline constexpr double kSocLandFraction = 0.12;
+/** Weakest motor effectiveness below which LandSafe triggers. */
+inline constexpr double kMotorEffLandFraction = 0.45;
+
+/** Clear-trigger time required before de-escalating (s). */
+inline constexpr double kRecoveryHoldS = 4.0;
+
+static_assert(kBackoffMinS > 0.0 && kBackoffMaxS >= kBackoffMinS &&
+              kBackoffFactor >= 1.0);
+static_assert(kMissHalfLifeS > 0.0 && kRecoveryHoldS >= 0.0);
 
 /** One sample of system health, fed to `update` once per tick. */
 struct HealthSnapshot
@@ -137,8 +142,6 @@ struct ModeTransition
 class DegradationPolicy
 {
   public:
-    explicit DegradationPolicy(PolicyConfig config = {});
-
     /** Ingest one health sample; returns the mode now in force. */
     FlightMode update(const HealthSnapshot &health);
 
@@ -163,8 +166,8 @@ class DegradationPolicy
 
     /**
      * Report a retry attempt: on failure the interval grows by
-     * `backoffFactor` up to `backoffMaxS`; on success it resets to
-     * `backoffMinS`.
+     * `kBackoffFactor` up to `kBackoffMaxS`; on success it resets
+     * to `kBackoffMinS`.
      */
     void onRetryResult(double t, bool success);
 
@@ -184,8 +187,6 @@ class DegradationPolicy
     static OutcomeTier outcomeFor(bool crashed, bool mission_complete,
                                   FlightMode worst);
 
-    const PolicyConfig &config() const { return config_; }
-
   private:
     /** Least severe mode whose triggers are all clear right now. */
     FlightMode demandedMode(const HealthSnapshot &health,
@@ -193,7 +194,6 @@ class DegradationPolicy
     void transitionTo(FlightMode to, double t,
                       const std::string &reason);
 
-    PolicyConfig config_;
     FlightMode mode_ = FlightMode::Nominal;
     FlightMode worst_ = FlightMode::Nominal;
     std::vector<ModeTransition> transitions_;
@@ -208,7 +208,7 @@ class DegradationPolicy
     double lastElevatedT_ = 0.0;
 
     bool linkDown_ = false;
-    double backoffS_ = 0.0;
+    double backoffS_ = kBackoffMinS;
     double nextRetryT_ = 0.0;
     std::vector<double> retryIntervals_;
 };

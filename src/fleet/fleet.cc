@@ -19,9 +19,10 @@ namespace {
 //
 // Calibrated against the 450 mm reference design the full-stack
 // harness flies: a ~1071 g airframe on a 3S 3000 mAh pack hovering
-// near 180 W at ~45 % throttle.  The fault/policy thresholds are
-// *not* redeclared here — they come from fault::PolicyConfig so the
-// two fidelity tiers degrade by the same rules.
+// near 180 W at ~45 % throttle.  The policy thresholds and the
+// flyaway limit are *not* redeclared here — they are the fault
+// layer's constants, so the two fidelity tiers degrade by the same
+// rules.
 
 /** 3S 3000 mAh pack at 11.1 V nominal (Wh). */
 constexpr double kBasePackWh = 33.3;
@@ -85,8 +86,6 @@ constexpr double kMinSpeedFraction = 0.2;
 constexpr double kDragPowerGain = 0.08;
 /** Extra hover power per m/s of wind (fraction). */
 constexpr double kWindPowerGain = 0.03;
-/** Tracking error past this is departed flight (m). */
-constexpr double kFlyawayErrM = 25.0;
 /** Per-drone manufacturing spread of hover power (fraction). */
 constexpr double kPowerTrimStd = 0.05;
 /** Per-drone spread of achievable speed (fraction). */
@@ -173,14 +172,6 @@ struct LaneBlock
 
 using fault::FlightMode;
 
-/** One policy ladder shared by both fidelity tiers. */
-const fault::PolicyConfig &
-policyDefaults()
-{
-    static const fault::PolicyConfig config{};
-    return config;
-}
-
 void
 initLane(LaneBlock &block, std::size_t lane, const ScenarioCtx &ctx,
          DroneOutcome &out, std::uint64_t seed)
@@ -235,8 +226,7 @@ struct TickConstants
 
     explicit TickConstants(const FleetSpec &spec)
         : sqrtDt(std::sqrt(spec.tickS)),
-          missDecay(std::pow(0.5, spec.tickS /
-                                      policyDefaults().missHalfLifeS))
+          missDecay(std::pow(0.5, spec.tickS / fault::kMissHalfLifeS))
     {
     }
 };
@@ -249,7 +239,6 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
     const double dt = spec.tickS;
     const double t = static_cast<double>(k) * dt;
     const double t_next = static_cast<double>(k + 1) * dt;
-    const fault::PolicyConfig &pc = policyDefaults();
 
     // --- Phase 1: this tick's faults, one snapshot per lane. -----
     const fault::FaultSnapshot *faults[LaneBlock::W] = {};
@@ -268,8 +257,8 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
             // Loss is noticed immediately (an RPC fails).
             block.linkUp[lane] = false;
             if (spec.policyEnabled) {
-                block.backoffS[lane] = pc.backoffMinS;
-                block.nextRetryT[lane] = t + pc.backoffMinS;
+                block.backoffS[lane] = fault::kBackoffMinS;
+                block.nextRetryT[lane] = t + fault::kBackoffMinS;
             }
         } else if (!block.linkUp[lane]) {
             if (!spec.policyEnabled) {
@@ -281,8 +270,8 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
                     block.backoffS[lane] = 0.0;
                 } else {
                     block.backoffS[lane] = std::min(
-                        block.backoffS[lane] * pc.backoffFactor,
-                        pc.backoffMaxS);
+                        block.backoffS[lane] * fault::kBackoffFactor,
+                        fault::kBackoffMaxS);
                     block.nextRetryT[lane] =
                         t + block.backoffS[lane];
                 }
@@ -353,13 +342,13 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
             auto demand = FlightMode::Nominal;
             if (!block.linkUp[lane] || faults[lane]->gpsOut)
                 demand = FlightMode::DegradedSlam;
-            if (block.missLevel[lane] > pc.missShedLevel ||
-                block.estErrM[lane] > pc.estErrShedM)
+            if (block.missLevel[lane] > fault::kMissShedLevel ||
+                block.estErrM[lane] > fault::kEstErrShedM)
                 demand = FlightMode::RateShed;
-            if (soc <= pc.socLandFraction ||
-                faults[lane]->minMotorEff < pc.motorEffLandFraction ||
-                gps_denial_s >= pc.gpsDenialLandS ||
-                block.estErrM[lane] > pc.estErrLandM)
+            if (soc <= fault::kSocLandFraction ||
+                faults[lane]->minMotorEff < fault::kMotorEffLandFraction ||
+                gps_denial_s >= fault::kGpsDenialLandS ||
+                block.estErrM[lane] > fault::kEstErrLandM)
                 demand = FlightMode::LandSafe;
 
             const auto current =
@@ -371,7 +360,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
                 block.lastElevatedT[lane] = t;
             } else if (current != FlightMode::LandSafe &&
                        t - block.lastElevatedT[lane] >=
-                           pc.recoveryHoldS) {
+                           fault::kRecoveryHoldS) {
                 // De-escalate only after a continuous clear hold.
                 block.mode[lane] =
                     static_cast<std::uint8_t>(demand);
@@ -485,7 +474,7 @@ stepBlockTick(LaneBlock &block, const CompiledMission &mission,
         block.errM[lane] = err;
         block.maxErrM[lane] = std::max(block.maxErrM[lane], err);
         if (block.active[lane] && !land_safe &&
-            err > kFlyawayErrM) {
+            err > fault::kFlyawayErrM) {
             block.crashed[lane] = true;
             finishLane(block, lane, t_next);
         }
@@ -622,7 +611,7 @@ runFleetImpl(const FleetSpec &spec, int jobs,
                     logical / spec.dronesPerScenario;
                 const std::size_t d =
                     logical % spec.dronesPerScenario;
-                fault::ResilienceConfig config = spec.fullStack;
+                fault::ResilienceConfig config;
                 config.policyEnabled = spec.policyEnabled;
                 config.seed =
                     deriveDroneSeed(spec.fleetSeed, logical);

@@ -13,14 +13,16 @@
  *    `MissionSpec`, a scalar tracking-error process driven by wind
  *    gusts / motor derating / estimation error, an EKF-coast
  *    estimation-error process, the deadline-miss accumulator, the
- *    Nominal→DegradedSlam→RateShed→LandSafe policy ladder (the same
- *    thresholds as `fault::PolicyConfig`), offload-link backoff,
+ *    Nominal→DegradedSlam→RateShed→LandSafe policy ladder (the fault
+ *    layer's policy constants), offload-link backoff,
  *    and a draining battery scaled by the scenario's payload and
  *    battery-age axes.
  *
  *  - `FullStack`: every drone flies the complete
  *    `fault::runResilienceMission` stack (EKF, cascaded inner loop,
- *    scheduler, offload link).  ~1000x slower; it exists so the
+ *    scheduler, offload link) at the harness's default
+ *    configuration, with only the seed and the policy switch
+ *    taken from the spec.  ~1000x slower; it exists so the
  *    harness — seed derivation, scenario plumbing, report
  *    aggregation — is provable against the single-mission path
  *    (tests/fleet/test_fleet_differential.cc).
@@ -79,11 +81,6 @@ struct FleetSpec
     /** Hard mission cutoff (s). */
     double maxDurationS = 300.0;
     FleetFidelity fidelity = FleetFidelity::Batched;
-    /**
-     * FullStack only: harness configuration template.  `seed` and
-     * `policyEnabled` are overwritten per drone / from this spec.
-     */
-    fault::ResilienceConfig fullStack{};
 };
 
 /** Compact per-mission outcome (both fidelities produce this). */

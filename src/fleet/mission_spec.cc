@@ -84,22 +84,6 @@ buildCatalog()
 
 } // namespace
 
-const char *
-stageKindName(StageKind kind)
-{
-    switch (kind) {
-    case StageKind::Takeoff:
-        return "takeoff";
-    case StageKind::Navigate:
-        return "navigate";
-    case StageKind::Search:
-        return "search";
-    case StageKind::Return:
-        return "return";
-    }
-    panic("stageKindName: invalid stage kind");
-}
-
 CompiledMission
 compileMission(const MissionSpec &spec)
 {

@@ -45,9 +45,6 @@ enum class StageKind
     Return,
 };
 
-/** Human-readable stage name (lower_snake, stable). */
-const char *stageKindName(StageKind kind);
-
 /** One stage of a mission. */
 struct MissionStage
 {

@@ -60,11 +60,7 @@ Tracer::Tracer()
 void
 Tracer::setEnabled(bool on)
 {
-#if DRONEDSE_TRACING
     enabled_.store(on, std::memory_order_relaxed);
-#else
-    (void)on;
-#endif
 }
 
 double
@@ -108,7 +104,6 @@ Tracer::recordSpan(const char *name, const char *category,
                    std::chrono::steady_clock::time_point start,
                    std::chrono::steady_clock::time_point end)
 {
-#if DRONEDSE_TRACING
     if (!enabled())
         return;
     SpanRecord record;
@@ -123,18 +118,11 @@ Tracer::recordSpan(const char *name, const char *category,
         std::chrono::duration<double, std::micro>(end - start)
             .count();
     append(std::move(record));
-#else
-    (void)name;
-    (void)category;
-    (void)start;
-    (void)end;
-#endif
 }
 
 void
 Tracer::recordInstant(const char *name, const char *category)
 {
-#if DRONEDSE_TRACING
     if (!enabled())
         return;
     SpanRecord record;
@@ -144,10 +132,6 @@ Tracer::recordInstant(const char *name, const char *category)
     record.phase = 'i';
     record.startUs = nowUs();
     append(std::move(record));
-#else
-    (void)name;
-    (void)category;
-#endif
 }
 
 void
@@ -155,7 +139,6 @@ Tracer::recordManual(const char *name, const char *category,
                      std::uint32_t track, double start_us,
                      double dur_us)
 {
-#if DRONEDSE_TRACING
     if (!enabled())
         return;
     SpanRecord record;
@@ -166,13 +149,6 @@ Tracer::recordManual(const char *name, const char *category,
     record.startUs = start_us;
     record.durUs = dur_us;
     append(std::move(record));
-#else
-    (void)name;
-    (void)category;
-    (void)track;
-    (void)start_us;
-    (void)dur_us;
-#endif
 }
 
 std::vector<SpanRecord>

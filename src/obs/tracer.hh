@@ -4,14 +4,10 @@
  * timestamps, exported as Chrome `chrome://tracing` JSON or a flat
  * per-span CSV.
  *
- * Two levels of gating keep the cost proportional to use:
- *  - compile time: configuring with `-DDRONEDSE_TRACING=OFF` defines
- *    `DRONEDSE_TRACING` to 0 and every instrument below collapses to
- *    an empty inline body (the API keeps compiling, spans are never
- *    recorded);
- *  - run time: spans are only captured while `tracer().setEnabled`
- *    is on, so an uninstrumented run pays one relaxed atomic load
- *    per span site.
+ * One run-time gate keeps the cost proportional to use: spans are
+ * only captured while `tracer().setEnabled` is on, so an untraced
+ * run pays one relaxed atomic load per span site, and any running
+ * binary can be traced without a rebuild.
  *
  * Spans carry a `track` so wall-clock instruments (thread pool,
  * SLAM phases) and simulated-time instruments (the rate scheduler,
@@ -31,10 +27,6 @@
 #include <vector>
 
 #include "util/thread_annotations.hh"
-
-#ifndef DRONEDSE_TRACING
-#define DRONEDSE_TRACING 1
-#endif
 
 namespace dronedse::obs {
 
@@ -72,14 +64,9 @@ class Tracer
 
     bool enabled() const
     {
-#if DRONEDSE_TRACING
         return enabled_.load(std::memory_order_relaxed);
-#else
-        return false;
-#endif
     }
 
-    /** No-op when tracing is compiled out. */
     void setEnabled(bool on);
 
     /** Microseconds since the tracer epoch (monotonic clock). */
@@ -147,13 +134,12 @@ Tracer &tracer();
 
 /**
  * RAII span: captures [construction, destruction) on the wall track
- * when tracing is compiled in and enabled.  `name` and `category`
- * must outlive the span (string literals at every call site).
+ * when tracing is enabled.  `name` and `category` must outlive the
+ * span (string literals at every call site).
  */
 class ScopedSpan
 {
   public:
-#if DRONEDSE_TRACING
     ScopedSpan(const char *name, const char *category)
         : active_(tracer().enabled()), name_(name),
           category_(category)
@@ -169,33 +155,23 @@ class ScopedSpan
                                 std::chrono::steady_clock::now());
         }
     }
-#else
-    ScopedSpan(const char *, const char *) {}
-#endif
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-#if DRONEDSE_TRACING
   private:
     bool active_;
     const char *name_;
     const char *category_;
     std::chrono::steady_clock::time_point start_;
-#endif
 };
 
-/** Instant marker helper (compiled out with tracing). */
+/** Instant marker helper. */
 inline void
 instant(const char *name, const char *category)
 {
-#if DRONEDSE_TRACING
     if (tracer().enabled())
         tracer().recordInstant(name, category);
-#else
-    (void)name;
-    (void)category;
-#endif
 }
 
 } // namespace dronedse::obs

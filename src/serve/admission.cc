@@ -40,8 +40,20 @@ admitError(AdmitDecision decision)
     return {};
 }
 
+namespace {
+
+std::vector<double>
+waitBounds()
+{
+    return std::vector<double>(
+        AdmissionController::kWaitBounds.begin(),
+        AdmissionController::kWaitBounds.end());
+}
+
+} // namespace
+
 AdmissionController::AdmissionController(AdmissionConfig config)
-    : config_(std::move(config)),
+    : config_(config),
       admittedCounter_(
           obs::metrics().counter("serve.admission.admitted")),
       rateLimitedCounter_(
@@ -57,16 +69,12 @@ AdmissionController::AdmissionController(AdmissionConfig config)
       depthGauge_(obs::metrics().gauge("serve.queue.depth")),
       waitP95Gauge_(obs::metrics().gauge("serve.queue.wait_p95_seconds")),
       waitSecondsHist_(obs::metrics().histogram(
-          "serve.queue.wait_seconds", config_.waitBounds)),
-      waitHist_(config_.waitBounds),
-      windowBaseCounts_(config_.waitBounds.size() + 1, 0)
+          "serve.queue.wait_seconds", waitBounds())),
+      waitHist_(waitBounds()),
+      windowBaseCounts_(kWaitBounds.size() + 1, 0)
 {
     if (config_.queueCapacity == 0)
         fatal("AdmissionController: queueCapacity must be > 0");
-    if (config_.shedLevel <= 0.0 ||
-        config_.rejectLevel <= config_.shedLevel)
-        fatal("AdmissionController: need 0 < shedLevel < "
-              "rejectLevel");
 }
 
 bool
@@ -110,18 +118,17 @@ AdmissionController::advanceState(double t)
         lastElevatedT_ = t;
     }
     const double dt = std::max(0.0, t - levelT_);
-    if (dt > 0.0 && config_.overloadHalfLifeS > 0.0) {
-        overloadLevel_ *=
-            std::exp2(-dt / config_.overloadHalfLifeS);
+    if (dt > 0.0) {
+        overloadLevel_ *= std::exp2(-dt / kOverloadHalfLifeS);
         levelT_ = t;
     }
 
     ShedState demand = ShedState::Nominal;
     std::string reason;
-    if (overloadLevel_ >= config_.rejectLevel) {
+    if (overloadLevel_ >= kRejectLevel) {
         demand = ShedState::RejectAll;
         reason = "overload level above reject threshold";
-    } else if (overloadLevel_ >= config_.shedLevel) {
+    } else if (overloadLevel_ >= kShedLevel) {
         demand = ShedState::ShedLowPriority;
         reason = "overload level above shed threshold";
     }
@@ -137,7 +144,7 @@ AdmissionController::advanceState(double t)
         lastElevatedT_ = t;
         return;
     }
-    if (t - lastElevatedT_ >= config_.recoveryHoldS)
+    if (t - lastElevatedT_ >= kRecoveryHoldS)
         transitionTo(demand, t, "recovered");
 }
 
@@ -168,9 +175,9 @@ AdmissionController::closeWindow()
     windowBaseCounts_ = counts;
     samplesInWindow_ = 0;
 
-    if (p95 >= config_.waitP95RejectS)
+    if (p95 >= kWaitP95RejectS)
         overloadLevel_ += 3.0;
-    else if (p95 >= config_.waitP95ShedS)
+    else if (p95 >= kWaitP95ShedS)
         overloadLevel_ += 1.0;
     waitP95Gauge_.set(p95);
 }
@@ -280,13 +287,6 @@ AdmissionController::stats() const
 {
     util::MutexLock lock(mutex_);
     return stats_;
-}
-
-double
-AdmissionController::overloadLevel() const
-{
-    util::MutexLock lock(mutex_);
-    return overloadLevel_;
 }
 
 double

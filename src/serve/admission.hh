@@ -17,9 +17,11 @@
  * bucket edge where the cumulative delta crosses 95 %, and adds to
  * the accumulator when that edge exceeds the shed (or, harder, the
  * reject) threshold.  The level decays exponentially with
- * `overloadHalfLifeS`, so a burst that clears drains back to
- * Nominal after `recoveryHoldS` of clean windows.  Unlike LandSafe,
- * RejectAll is not absorbing — a server must come back.
+ * `kOverloadHalfLifeS`, so a burst that clears drains back to
+ * Nominal after `kRecoveryHoldS` of clean windows.  Unlike LandSafe,
+ * RejectAll is not absorbing — a server must come back.  The shed
+ * thresholds and histogram edges are constants of the class; only
+ * the queue capacity and the token buckets are per instance.
  *
  * All methods take an explicit time `t` (seconds, any monotone
  * origin), so the whole machine runs deterministically under the
@@ -32,6 +34,7 @@
 #ifndef DRONEDSE_SERVE_ADMISSION_HH
 #define DRONEDSE_SERVE_ADMISSION_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -67,7 +70,7 @@ struct TokenBucketConfig
     double burst = 400.0;
 };
 
-/** Tuning knobs of the controller (all per-instance). */
+/** Per-instance settings of the controller. */
 struct AdmissionConfig
 {
     /** Bounded queue capacity; a full queue sheds. */
@@ -75,24 +78,6 @@ struct AdmissionConfig
 
     TokenBucketConfig interactive{2000.0, 400.0};
     TokenBucketConfig batch{500.0, 100.0};
-
-    /** Queue-wait histogram bucket edges (seconds). */
-    std::vector<double> waitBounds{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3,
-                                   5e-3, 0.01,   0.025, 0.05, 0.1,
-                                   0.25, 0.5,    1.0,   2.5,  5.0};
-
-    /** p95 edge at/above this feeds the accumulator (s). */
-    double waitP95ShedS = 0.05;
-    /** p95 edge at/above this feeds it three times as hard (s). */
-    double waitP95RejectS = 0.5;
-    /** Accumulator exponential-decay half-life (s). */
-    double overloadHalfLifeS = 2.0;
-    /** Accumulator level that demands ShedLowPriority. */
-    double shedLevel = 3.0;
-    /** Accumulator level that demands RejectAll. */
-    double rejectLevel = 9.0;
-    /** Continuous low-demand time before de-escalating (s). */
-    double recoveryHoldS = 1.0;
 };
 
 /** Outcome of one admission attempt. */
@@ -151,6 +136,27 @@ class AdmissionController
   public:
     /** Dequeues per p95 window (see file comment). */
     static constexpr std::uint64_t kP95WindowSamples = 32;
+    /** Queue-wait histogram bucket edges (s); every controller
+     *  shares the registry's `serve.queue.wait_seconds` edges. */
+    static constexpr std::array<double, 15> kWaitBounds{
+        1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025,
+        0.05, 0.1,    0.25, 0.5,  1.0,    2.5,  5.0};
+    /** p95 edge at/above this feeds the accumulator +1 (s). */
+    static constexpr double kWaitP95ShedS = 0.05;
+    /** p95 edge at/above this feeds it +3 instead (s). */
+    static constexpr double kWaitP95RejectS = 0.5;
+    /** Accumulator exponential-decay half-life (s). */
+    static constexpr double kOverloadHalfLifeS = 2.0;
+    /** Accumulator level that demands ShedLowPriority. */
+    static constexpr double kShedLevel = 3.0;
+    /** Accumulator level that demands RejectAll. */
+    static constexpr double kRejectLevel = 9.0;
+    /** Continuous low-demand time before de-escalating (s). */
+    static constexpr double kRecoveryHoldS = 1.0;
+
+    static_assert(0.0 < kShedLevel && kShedLevel < kRejectLevel);
+    static_assert(kWaitP95ShedS < kWaitP95RejectS);
+    static_assert(kOverloadHalfLifeS > 0.0 && kRecoveryHoldS >= 0.0);
 
     explicit AdmissionController(AdmissionConfig config = {});
 
@@ -180,15 +186,11 @@ class AdmissionController
     ShedState state() const DDSE_EXCLUDES(mutex_);
     AdmissionStats stats() const DDSE_EXCLUDES(mutex_);
 
-    /** Overload accumulator level (diagnostics / tests). */
-    double overloadLevel() const DDSE_EXCLUDES(mutex_);
     /** p95 bucket edge of the last completed window (s). */
     double lastWindowP95S() const DDSE_EXCLUDES(mutex_);
     /** Every shed-state change, in order. */
     std::vector<ShedTransition> transitions() const
         DDSE_EXCLUDES(mutex_);
-
-    const AdmissionConfig &config() const { return config_; }
 
   private:
     struct Bucket

@@ -638,18 +638,6 @@ queryKindName(QueryKind kind)
     return enumName(kind);
 }
 
-const char *
-queryClassName(QueryClass cls)
-{
-    return enumName(cls);
-}
-
-const char *
-errorCodeName(ErrorCode code)
-{
-    return enumName(code);
-}
-
 bool
 parseRequest(const std::string &frame, Request &out, ErrorReply &err)
 {

@@ -124,10 +124,8 @@ wireNames(ErrorCode)
              {ErrorCode::Internal, "internal"}}};
 }
 
-/** Wire spellings of the three enums above. */
+/** Wire spelling of a query kind. */
 const char *queryKindName(QueryKind kind);
-const char *queryClassName(QueryClass cls);
-const char *errorCodeName(ErrorCode code);
 
 /** One parsed request frame. */
 struct Request

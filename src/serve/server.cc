@@ -18,6 +18,9 @@ namespace dronedse::serve {
 
 namespace {
 
+/** listen(2) backlog. */
+constexpr int kListenBacklog = 64;
+
 void
 setNonBlocking(int fd)
 {
@@ -74,7 +77,7 @@ Server::start()
                sizeof addr) < 0)
         fatal("serve::Server: bind() failed: " +
               std::string(std::strerror(errno)));
-    if (::listen(listenFd_, options_.backlog) < 0)
+    if (::listen(listenFd_, kListenBacklog) < 0)
         fatal("serve::Server: listen() failed");
     setNonBlocking(listenFd_);
 
@@ -257,16 +260,8 @@ Server::readClient(std::uint64_t conn_id)
     // A frame longer than the cap can never complete: answer
     // too_large once and drop the connection after the flush (the
     // stream cannot be resynchronized).
-    if (conn.inbuf.size() > service_.options().maxFrameBytes) {
-        queueReply(
-            conn,
-            serializeErrorReply(
-                0, ErrorReply{ErrorCode::TooLarge,
-                              "frame exceeds " +
-                                  std::to_string(
-                                      service_.options()
-                                          .maxFrameBytes) +
-                                  " bytes"}));
+    if (conn.inbuf.size() > kMaxFrameBytes) {
+        queueReply(conn, serializeErrorReply(0, frameTooLarge()));
         conn.inbuf.clear();
         conn.closeAfterFlush = true;
     }

@@ -48,8 +48,6 @@ struct ServerOptions
     std::uint16_t port = 0;
     /** Worker threads; 0 = hardware concurrency. */
     int workers = 1;
-    /** listen(2) backlog. */
-    int backlog = 64;
 };
 
 class Server

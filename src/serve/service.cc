@@ -4,8 +4,16 @@
 
 namespace dronedse::serve {
 
-Service::Service(ServiceOptions options)
-    : options_(options), engine_(options.engine), planner_(engine_),
+ErrorReply
+frameTooLarge()
+{
+    return {ErrorCode::TooLarge,
+            "frame exceeds " + std::to_string(kMaxFrameBytes) +
+                " bytes"};
+}
+
+Service::Service(const ServiceOptions &options)
+    : engine_(options.engine), planner_(engine_),
       admission_(options.admission),
       framesCounter_(obs::metrics().counter("serve.frames")),
       okCounter_(obs::metrics().counter("serve.replies.ok")),
@@ -24,12 +32,8 @@ Service::admit(const std::string &frame, std::uint64_t conn, double t,
         return false;
     };
 
-    if (frame.size() > options_.maxFrameBytes)
-        return reject(0, ErrorReply{ErrorCode::TooLarge,
-                                    "frame exceeds " +
-                                        std::to_string(
-                                            options_.maxFrameBytes) +
-                                        " bytes"});
+    if (frame.size() > kMaxFrameBytes)
+        return reject(0, frameTooLarge());
     ErrorReply err;
     if (!parseRequest(frame, request, err))
         return reject(request.id, err);

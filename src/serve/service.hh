@@ -33,13 +33,17 @@
 
 namespace dronedse::serve {
 
+/** Frames longer than this are answered with `too_large`. */
+inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
+
+/** The `too_large` reply to a frame over `kMaxFrameBytes`. */
+ErrorReply frameTooLarge();
+
 /** Everything a Service instance is configured by. */
 struct ServiceOptions
 {
     engine::EngineOptions engine;
     AdmissionConfig admission;
-    /** Frames longer than this are answered with `too_large`. */
-    std::size_t maxFrameBytes = 1 << 20;
 };
 
 /** What `ingest` did with a frame. */
@@ -54,7 +58,7 @@ struct IngestOutcome
 class Service
 {
   public:
-    explicit Service(ServiceOptions options = {});
+    explicit Service(const ServiceOptions &options = {});
 
     /**
      * Full pipeline, no queueing, at time `t`.  Never fails: every
@@ -81,7 +85,6 @@ class Service
     AdmissionController &admission() { return admission_; }
     QueryPlanner &planner() { return planner_; }
     engine::SweepEngine &engine() { return engine_; }
-    const ServiceOptions &options() const { return options_; }
 
   private:
     /**
@@ -92,7 +95,6 @@ class Service
     bool admit(const std::string &frame, std::uint64_t conn, double t,
                bool enqueue, Request &request, std::string &reply);
 
-    ServiceOptions options_;
     engine::SweepEngine engine_;
     QueryPlanner planner_;
     AdmissionController admission_;

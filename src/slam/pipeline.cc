@@ -91,14 +91,6 @@ SlamPipeline::SlamPipeline(PinholeCamera camera, SlamConfig config)
 {
 }
 
-void
-SlamPipeline::setKeyframeMaxGap(int frames)
-{
-    if (frames < 1)
-        fatal("SlamPipeline::setKeyframeMaxGap: gap must be >= 1");
-    config_.keyframeMaxGap = frames;
-}
-
 std::vector<Feature>
 SlamPipeline::extractFeatures(const Image &image)
 {

@@ -125,14 +125,6 @@ class SlamPipeline
     const SlamMap &map() const { return map_; }
     SlamMap &map() { return map_; }
 
-    /**
-     * Re-tune the keyframe cadence mid-sequence — the degradation
-     * policy's "onboard SLAM at reduced keyframe rate" fallback:
-     * a larger gap means fewer keyframes, less triangulation, and
-     * less BA work on the constrained onboard compute.
-     */
-    void setKeyframeMaxGap(int frames);
-
     /** Current pipeline configuration. */
     const SlamConfig &config() const { return config_; }
 

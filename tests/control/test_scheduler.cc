@@ -131,7 +131,6 @@ TEST(Scheduler, ObsCountersTrackMissesWhileTheInnerRateHolds)
               static_cast<std::uint64_t>(reported_execs));
 }
 
-#if DRONEDSE_TRACING
 TEST(Scheduler, TaskExecutionsLandOnTheSimTrack)
 {
     obs::tracer().clear();
@@ -155,7 +154,6 @@ TEST(Scheduler, TaskExecutionsLandOnTheSimTrack)
     }
     EXPECT_NEAR(static_cast<double>(nav_spans), 10.0, 2.0);
 }
-#endif // DRONEDSE_TRACING
 
 TEST(SchedulerDeath, RejectsInvalidTask)
 {

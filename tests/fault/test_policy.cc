@@ -138,7 +138,7 @@ TEST(PolicyProperty, RecoveryIsIdempotent)
     // The elevated mode holds until recoveryHoldS of clear health.
     h.t = 1.0;
     EXPECT_EQ(policy.update(h), FlightMode::DegradedSlam);
-    h.t = 1.0 + policy.config().recoveryHoldS + 0.1;
+    h.t = 1.0 + kRecoveryHoldS + 0.1;
     EXPECT_EQ(policy.update(h), FlightMode::Nominal);
 
     // Re-applying the same clear health changes nothing: no mode
@@ -170,11 +170,7 @@ TEST(PolicyProperty, LandSafeIsAbsorbing)
 
 TEST(PolicyProperty, BackoffStaysWithinConfiguredBounds)
 {
-    PolicyConfig config;
-    config.backoffMinS = 0.5;
-    config.backoffMaxS = 8.0;
-    config.backoffFactor = 2.0;
-    DegradationPolicy policy(config);
+    DegradationPolicy policy;
 
     HealthSnapshot h;
     h.linkUp = false;
@@ -191,18 +187,18 @@ TEST(PolicyProperty, BackoffStaysWithinConfiguredBounds)
     }
     ASSERT_FALSE(policy.retryIntervals().empty());
     for (const double interval : policy.retryIntervals()) {
-        EXPECT_GE(interval, config.backoffMinS);
-        EXPECT_LE(interval, config.backoffMaxS);
+        EXPECT_GE(interval, kBackoffMinS);
+        EXPECT_LE(interval, kBackoffMaxS);
     }
     // Intervals grow monotonically up to the cap...
     for (std::size_t i = 1; i < policy.retryIntervals().size(); ++i)
         EXPECT_GE(policy.retryIntervals()[i],
                   policy.retryIntervals()[i - 1]);
-    EXPECT_DOUBLE_EQ(policy.currentBackoffS(), config.backoffMaxS);
+    EXPECT_DOUBLE_EQ(policy.currentBackoffS(), kBackoffMaxS);
 
     // ...and a success resets the interval to the minimum.
     policy.onRetryResult(t, true);
-    EXPECT_DOUBLE_EQ(policy.currentBackoffS(), config.backoffMinS);
+    EXPECT_DOUBLE_EQ(policy.currentBackoffS(), kBackoffMinS);
 }
 
 TEST(PolicyProperty, RetryCadenceRespectsBackoff)
@@ -216,9 +212,9 @@ TEST(PolicyProperty, RetryCadenceRespectsBackoff)
     // comes after backoffMinS.
     EXPECT_FALSE(policy.offloadRetryDue(0.0));
     EXPECT_FALSE(
-        policy.offloadRetryDue(policy.config().backoffMinS * 0.9));
+        policy.offloadRetryDue(kBackoffMinS * 0.9));
     EXPECT_TRUE(
-        policy.offloadRetryDue(policy.config().backoffMinS * 1.1));
+        policy.offloadRetryDue(kBackoffMinS * 1.1));
 }
 
 TEST(PolicyTest, TimeMustNotGoBackwards)

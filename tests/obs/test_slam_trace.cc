@@ -20,8 +20,6 @@
 namespace dronedse {
 namespace {
 
-#if DRONEDSE_TRACING
-
 /** Span-name convention of the pipeline's phase instruments. */
 const char *
 spanNameFor(SlamPhase phase)
@@ -93,23 +91,6 @@ TEST(SlamTrace, TraceCarriesOnlyWallTrackSlamSpans)
         EXPECT_GE(span.durUs, 0.0);
     }
 }
-
-#else // !DRONEDSE_TRACING
-
-TEST(SlamTrace, CompiledOutPipelineStillAccountsWork)
-{
-    obs::tracer().setEnabled(true); // no-op when compiled out
-    SequenceSpec spec = findSequence("MH01");
-    spec.frames = 40;
-    const SequenceStats stats = SlamPipeline::runSequence(spec);
-    EXPECT_TRUE(obs::tracer().snapshot().empty());
-    double total = 0.0;
-    for (const auto &work : stats.work)
-        total += work.seconds;
-    EXPECT_GT(total, 0.0);
-}
-
-#endif // DRONEDSE_TRACING
 
 } // namespace
 } // namespace dronedse

@@ -1,10 +1,7 @@
 /**
  * @file
  * Tracer battery: runtime gating, scoped-span capture, per-thread
- * buffers, snapshot ordering, Chrome-JSON / CSV export shape, and
- * the compiled-out configuration (every test that records spans is
- * guarded on DRONEDSE_TRACING; the stub behaviour is asserted when
- * the tracer is compiled out).
+ * buffers, snapshot ordering, and Chrome-JSON / CSV export shape.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +17,6 @@
 
 namespace dronedse::obs {
 namespace {
-
-#if DRONEDSE_TRACING
 
 TEST(Tracer, DisabledTracerRecordsNothing)
 {
@@ -218,35 +213,6 @@ TEST(Tracer, NewTracerAtReusedAddressSeesItsOwnSpans)
         EXPECT_EQ(spans[0].name, name);
     }
 }
-
-#else // !DRONEDSE_TRACING
-
-TEST(Tracer, CompiledOutTracerNeverEnablesOrRecords)
-{
-    Tracer t;
-    t.setEnabled(true);
-    EXPECT_FALSE(t.enabled());
-    const auto now = std::chrono::steady_clock::now();
-    t.recordSpan("x", "test", now, now);
-    t.recordInstant("x", "test");
-    t.recordManual("x", "test", kWallTrack, 0.0, 1.0);
-    EXPECT_TRUE(t.snapshot().empty());
-    EXPECT_NE(t.toChromeJson().find("\"traceEvents\": []"),
-              std::string::npos);
-}
-
-TEST(Tracer, CompiledOutScopedSpanIsANoOp)
-{
-    tracer().setEnabled(true);
-    {
-        ScopedSpan span("test.stub", "test");
-    }
-    instant("test.stub", "test");
-    EXPECT_FALSE(tracer().enabled());
-    EXPECT_TRUE(tracer().snapshot().empty());
-}
-
-#endif // DRONEDSE_TRACING
 
 } // namespace
 } // namespace dronedse::obs

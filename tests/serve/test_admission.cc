@@ -106,41 +106,52 @@ TEST(ServeAdmission, PopIsFifoAndRecordsWaits)
 
 namespace {
 
-/** Push `n` items through with a fixed queue wait per item. */
+using AC = AdmissionController;
+
+/** Queue wait that feeds +1 per window: its p95 edge (0.25 s) lies
+ *  between the shed and reject thresholds. */
+constexpr double kSlowWaitS = 0.2;
+/** Queue wait that feeds +3 per window: its p95 edge (2.5 s) lies
+ *  past the reject threshold. */
+constexpr double kVerySlowWaitS = 2.0;
+static_assert(AC::kWaitP95ShedS <= 0.25 && 0.25 < AC::kWaitP95RejectS);
+static_assert(AC::kWaitP95RejectS <= 2.5);
+
+/**
+ * Push `n` items through with queue wait `wait` each: all are
+ * enqueued at `t - wait`, then all popped at `t`.  The accumulator
+ * only decays over elapsed time, so windows pumped at one `t` add
+ * up undecayed.
+ */
 void
-pumpWindow(AdmissionController &admission, double &t, double wait,
-           int n = AdmissionController::kP95WindowSamples)
+pumpWindow(AdmissionController &admission, double t, double wait,
+           int n = AC::kP95WindowSamples)
 {
-    for (int i = 0; i < n; ++i) {
-        ASSERT_EQ(admission.submit(item(QueryClass::Interactive), t),
+    for (int i = 0; i < n; ++i)
+        ASSERT_EQ(admission.submit(item(QueryClass::Interactive),
+                                   t - wait),
                   AdmitDecision::Admit);
-        t += wait;
-        QueuedItem out;
+    QueuedItem out;
+    for (int i = 0; i < n; ++i)
         ASSERT_TRUE(admission.pop(t, out));
-    }
 }
 
 } // namespace
 
 TEST(ServeAdmission, SlowWindowsEscalateToShedThenReject)
 {
-    AdmissionConfig config = openConfig();
-    config.waitP95ShedS = 0.05;
-    config.waitP95RejectS = 10.0; // out of reach: test the +1 path
-    config.shedLevel = 3.0;
-    config.rejectLevel = 9.0;
-    config.overloadHalfLifeS = 0.0; // no decay: count windows
-    AdmissionController admission{config};
+    AdmissionController admission{openConfig()};
+    const double t = 10.0;
 
-    double t = 0.0;
     // Two slow windows: level 2, still Nominal.
-    pumpWindow(admission, t, 0.1);
-    pumpWindow(admission, t, 0.1);
+    pumpWindow(admission, t, kSlowWaitS);
+    pumpWindow(admission, t, kSlowWaitS);
     EXPECT_EQ(admission.state(), ShedState::Nominal);
-    EXPECT_GE(admission.lastWindowP95S(), 0.05);
+    EXPECT_GE(admission.lastWindowP95S(), AC::kWaitP95ShedS);
+    EXPECT_LT(admission.lastWindowP95S(), AC::kWaitP95RejectS);
 
-    // Third slow window crosses shedLevel.
-    pumpWindow(admission, t, 0.1);
+    // Third slow window reaches kShedLevel = 3.
+    pumpWindow(admission, t, kSlowWaitS);
     EXPECT_EQ(admission.state(), ShedState::ShedLowPriority);
 
     // Batch is now shed, interactive still admitted.
@@ -151,12 +162,12 @@ TEST(ServeAdmission, SlowWindowsEscalateToShedThenReject)
     QueuedItem out;
     ASSERT_TRUE(admission.pop(t, out));
 
-    // Realign to the 32-dequeue window boundary (the pop above is
-    // one extra sample), then five more slow windows cross
-    // rejectLevel: everything is shed.
-    pumpWindow(admission, t, 0.1, 31);
+    // Complete that window (the pop above is its first sample, a
+    // zero wait; the 31 slow ones still set its p95), then five
+    // more slow windows reach kRejectLevel = 9: everything is shed.
+    pumpWindow(admission, t, kSlowWaitS, AC::kP95WindowSamples - 1);
     for (int i = 0; i < 5; ++i)
-        pumpWindow(admission, t, 0.1);
+        pumpWindow(admission, t, kSlowWaitS);
     EXPECT_EQ(admission.state(), ShedState::RejectAll);
     EXPECT_EQ(admission.submit(item(QueryClass::Interactive), t),
               AdmitDecision::ShedAll);
@@ -166,46 +177,42 @@ TEST(ServeAdmission, SlowWindowsEscalateToShedThenReject)
 
 TEST(ServeAdmission, RejectThresholdEscalatesThreeTimesAsFast)
 {
-    AdmissionConfig config = openConfig();
-    config.waitP95ShedS = 0.05;
-    config.waitP95RejectS = 0.5;
-    config.overloadHalfLifeS = 0.0;
-    AdmissionController admission{config};
+    AdmissionController admission{openConfig()};
+    const double t = 10.0;
 
     // One window past the reject threshold feeds the accumulator
-    // +3 — straight to ShedLowPriority (shedLevel = 3).
-    double t = 0.0;
-    pumpWindow(admission, t, 1.0);
+    // +3 — straight to ShedLowPriority, where slow windows take
+    // three.
+    pumpWindow(admission, t, kVerySlowWaitS);
+    EXPECT_GE(admission.lastWindowP95S(), AC::kWaitP95RejectS);
     EXPECT_EQ(admission.state(), ShedState::ShedLowPriority);
+
+    // Two more reach kRejectLevel = 9, where slow windows take nine.
+    pumpWindow(admission, t, kVerySlowWaitS);
+    EXPECT_EQ(admission.state(), ShedState::ShedLowPriority);
+    pumpWindow(admission, t, kVerySlowWaitS);
+    EXPECT_EQ(admission.state(), ShedState::RejectAll);
 }
 
 TEST(ServeAdmission, RecoversAfterHoldWithHysteresis)
 {
-    AdmissionConfig config = openConfig();
-    config.waitP95ShedS = 0.01;
-    config.waitP95RejectS = 0.05; // 0.1 s waits feed +3 per window
-    config.shedLevel = 3.0;
-    config.rejectLevel = 9.0;
-    config.overloadHalfLifeS = 0.5;
-    config.recoveryHoldS = 1.0;
-    AdmissionController admission{config};
-
-    double t = 0.0;
-    for (int i = 0;
-         i < 10 && admission.state() != ShedState::ShedLowPriority;
-         ++i)
-        pumpWindow(admission, t, 0.1);
+    AdmissionController admission{openConfig()};
+    // One very slow window: level exactly kShedLevel at t0.
+    const double t0 = 10.0;
+    pumpWindow(admission, t0, kVerySlowWaitS);
     ASSERT_EQ(admission.state(), ShedState::ShedLowPriority);
 
-    // 0.6 s later the level has decayed below shedLevel, but the
-    // recovery hold has not elapsed: still shedding (hysteresis).
-    t += 0.6;
+    // Half a hold later the level has decayed below kShedLevel, but
+    // the recovery hold has not elapsed: still shedding
+    // (hysteresis).
+    double t = t0 + AC::kRecoveryHoldS / 2;
     EXPECT_EQ(admission.submit(item(QueryClass::Batch), t),
               AdmitDecision::ShedClass);
     EXPECT_EQ(admission.state(), ShedState::ShedLowPriority);
 
-    // After the hold elapses with the level decayed, Nominal again.
-    t += 5.0;
+    // Once the hold has elapsed since the last elevated demand,
+    // Nominal again.
+    t = t0 + AC::kRecoveryHoldS;
     EXPECT_EQ(admission.submit(item(QueryClass::Batch), t),
               AdmitDecision::Admit);
     EXPECT_EQ(admission.state(), ShedState::Nominal);
@@ -215,6 +222,7 @@ TEST(ServeAdmission, RecoversAfterHoldWithHysteresis)
         admission.transitions();
     ASSERT_EQ(transitions.size(), 2u);
     EXPECT_EQ(transitions[0].to, ShedState::ShedLowPriority);
+    EXPECT_EQ(transitions[0].t, t0);
     EXPECT_EQ(transitions[1].to, ShedState::Nominal);
     EXPECT_EQ(transitions[1].reason, "recovered");
     QueuedItem out;

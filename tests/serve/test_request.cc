@@ -785,15 +785,21 @@ TEST(ServeRequest, MalformedFrameBattery)
          R"("options": {"seed": 1152921504606846976}})",
          "invalid_request"},
     };
-    // Oversized line: rejected by the service's frame cap.
+    // Oversized line: one byte past the service's frame cap.
+    const std::string head =
+        "{\"id\": 1, \"kind\": \"design\", \"pad\": \"";
+    const std::string tail = "\", \"point\": {}}";
     Case oversized{"oversized line",
-                   "{\"id\": 1, \"kind\": \"design\", \"pad\": \"" +
-                       std::string(3000, 'x') + "\", \"point\": {}}",
+                   head +
+                       std::string(kMaxFrameBytes + 1 - head.size() -
+                                       tail.size(),
+                                   'x') +
+                       tail,
                    "too_large"};
+    ASSERT_EQ(oversized.frame.size(), kMaxFrameBytes + 1);
 
     ServiceOptions options;
     options.engine.threads = 1;
-    options.maxFrameBytes = 2048;
     Service service{options};
 
     cases.push_back(oversized);
@@ -823,6 +829,28 @@ TEST(ServeRequest, MalformedFrameBattery)
     const std::string ok_reply = service.handleFrame(valid, t);
     EXPECT_NE(ok_reply.find("\"ok\": true"), std::string::npos);
     EXPECT_EQ(service.planner().stats().executed, 1u);
+}
+
+TEST(ServeRequest, FrameCapAdmitsExactlyMaxFrameBytes)
+{
+    // A valid frame padded with JSON whitespace to exactly the cap
+    // is served; one byte more is `too_large`.
+    const std::string head = R"({"id": 3, "kind": "design", "point": {})";
+    const auto padded = [&](std::size_t size) {
+        return head + std::string(size - head.size() - 1, ' ') + "}";
+    };
+    ServiceOptions options;
+    options.engine.threads = 1;
+    Service service{options};
+
+    const std::string at_cap = padded(kMaxFrameBytes);
+    ASSERT_EQ(at_cap.size(), kMaxFrameBytes);
+    const std::string reply = service.handleFrame(at_cap, 0.0);
+    EXPECT_NE(reply.find("\"ok\": true"), std::string::npos) << reply;
+
+    const std::string over = padded(kMaxFrameBytes + 1);
+    EXPECT_NE(service.handleFrame(over, 1.0).find("\"too_large\""),
+              std::string::npos);
 }
 
 TEST(ServeRiskFrame, NonPositiveFixedWeightSampleRepliesOk)
